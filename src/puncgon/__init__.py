@@ -34,7 +34,6 @@ from .mesh import (
     hom_dim_closed_form,
     hom_dim_cluster,
     hom_dim_mesh,
-    hom_dim_mesh_by_rank,
     identity_morphism,
     morphism_space,
     move_morphism,

@@ -28,7 +28,6 @@ from .triangulation import (
     Triangulation,
     enumerate_triangulations,
     exchange_sides,
-    flip,
     quiver_of_triangulation,
 )
 
@@ -200,10 +199,10 @@ def cmd_triangulations(args) -> int:
 def cmd_flipwalk(args) -> int:
     t = _parse_triangulation(args.n, args.T)
     script = parse_edge_list(args.n, args.script) if args.script else []
+    if args.random < 0:
+        raise SystemExitError(f"--random must be at least 0, got {args.random}")
     rng = random.Random(args.seed)
-    steps = []
-    for k in range(args.random):
-        script.append(None)  # placeholder, chosen at walk time
+    script += [None] * args.random  # placeholders, chosen at walk time
     out = {"n": args.n, "start": str(t).split(","), "steps": []}
     current = t
     for chosen in script:
@@ -215,8 +214,7 @@ def cmd_flipwalk(args) -> int:
             )
             return 2
         data = exchange_sides(current, edge)
-        current, inserted = flip(current, edge)
-        assert inserted == data.inserted
+        current = current.replace(edge, data.inserted)
         step = {
             "removed": str(data.removed),
             "inserted": str(data.inserted),
@@ -240,9 +238,9 @@ def cmd_flipwalk(args) -> int:
 def cmd_report(args) -> int:
     t = _parse_triangulation(args.n, args.T)
     maxlen = args.maxlen if args.maxlen is not None else args.n
-    quiver = quiver_of_triangulation(t)
-    shown = quiver.transposed() if args.no_op else quiver
     vanishing = vanishing_paths_report(t, maxlen)
+    quiver = vanishing.quiver
+    shown = quiver.transposed() if args.no_op else quiver
     tilted = ar_quiver_of_tilted(t)
     if args.format == "dot":
         print(render.quiver_dot(shown))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import TaggedEdge, edge_sort_key, enumerate_tagged_edges
+from .geometry import TaggedEdge, enumerate_tagged_edges
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,3 @@ def crossing_matrix(n: int) -> CrossingTable:
 
 def compatible(m: TaggedEdge, other: TaggedEdge) -> bool:
     return crossing_number(m, other) == 0
-
-
-def sorted_edges(edges) -> list[TaggedEdge]:
-    return sorted(edges, key=edge_sort_key)

@@ -1,42 +1,9 @@
-"""Exact linear algebra: integer fraction-free rank and small rational
-eliminations.  No floating point anywhere."""
+"""Exact linear algebra: small rational eliminations and solves.  No
+floating point anywhere."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-
-def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f == 0 and p == prev:
-                continue
-            row = m[r]
-            top = m[rank]
-            for c in range(col, ncols):
-                row[c] = (row[c] * p - f * top[c]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
 
 
 class FractionElim:

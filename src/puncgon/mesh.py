@@ -20,13 +20,12 @@ shifts columns by -1, and the mesh ending at x is the set of 2-paths
 from tau(x) through the in-arrows of x.
 
 Morphism spaces are spaces of paths modulo the mesh ideal (all
-mesh-relation coefficients are +1).  ``hom_dim_mesh_by_rank`` realizes
-the definition literally: enumerate every path, span the relations
-u * m_X * v, and subtract an exact integer rank.  The workhorse
-``hom_dim_mesh`` computes the identical quotient by eliminating column
-by column (each vertex keeps an explicit reduced basis of path classes),
-which avoids the exponential path blowup on wide strips; the two agree
-by construction, and the test suite checks them against each other.
+mesh-relation coefficients are +1).  ``hom_dim_mesh`` computes the
+quotient by eliminating column by column (each vertex keeps an explicit
+reduced basis of path classes), which avoids the exponential path blowup
+on wide strips.  The test suite certifies it against a literal oracle
+that enumerates every path and subtracts the exact rank of the relations
+u * m_X * v.
 
 Hom spaces in the quotient by the full rotation rho (which shifts k by
 one, i.e. columns by n) are direct sums over shifts; the sum has finite
@@ -45,7 +44,7 @@ from .geometry import (
     grid_column,
     grid_level,
 )
-from .linalg import FractionElim, int_rank, solve_exact
+from .linalg import FractionElim, solve_exact
 
 ZqVertex = tuple[int, int]  # (column, level)
 
@@ -433,92 +432,6 @@ def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
     return 1 if nonzero else 0
 
 
-def hom_dims_by_knitting(n: int, src_level: int, max_col: int) -> dict[ZqVertex, int]:
-    """Additive mesh recurrence: d(x) = sum over in-arrows - d(tau x), with a
-    unit source term at the source vertex and at its shift copy n-1 columns
-    to the right (fork levels swap under the shift when n is odd).  Fast
-    consistency companion to the sweep."""
-    dims: dict[ZqVertex, int] = {}
-    shift_level = src_level
-    if n % 2 == 1 and src_level >= n - 1:
-        shift_level = 2 * n - 1 - src_level
-    sources = {(0, src_level), (n - 1, shift_level)}
-
-    def get(v: ZqVertex) -> int:
-        return dims.get(v, 0)
-
-    for c in range(0, max_col + 1):
-        for j in range(1, n + 1):
-            x = (c, j)
-            total = sum(get(y) for y in zq_in_arrows(n, x) if y[0] >= 0)
-            total -= get(zq_tau(x))
-            if x in sources:
-                total += 1
-            dims[x] = total
-    return dims
-
-
-# ---------------------------------------------------------------------------
-# literal oracle: every path, every relation, one exact rank
-
-
-def _enumerate_paths(n: int, src: ZqVertex, tgt: ZqVertex) -> list[tuple[ZqVertex, ...]]:
-    if tgt[0] < src[0]:
-        return []
-    memo: dict[ZqVertex, list[tuple[ZqVertex, ...]]] = {tgt: [(tgt,)]}
-
-    def suffixes(v: ZqVertex) -> list[tuple[ZqVertex, ...]]:
-        if v in memo:
-            return memo[v]
-        out = []
-        for w in zq_out_arrows(n, v):
-            if w[0] <= tgt[0]:
-                for s in suffixes(w):
-                    out.append((v,) + s)
-        memo[v] = out
-        return out
-
-    return suffixes(src)
-
-
-def hom_dim_mesh_by_rank(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
-    """Literal mesh Hom dimension: number of paths minus the exact rank of
-    the relation matrix spanned by all u * m_X * v.  Exponential; used to
-    certify the sweep on small windows."""
-    _require_same_n(m, other)
-    n = m.n
-    dc = _relative_column(m, other, shift)
-    if dc < 0:
-        return 0
-    src = (0, grid_level(m))
-    tgt = (dc, _zq_level(other, shift))
-    paths = _enumerate_paths(n, src, tgt)
-    if not paths:
-        return 0
-    index = {p: i for i, p in enumerate(paths)}
-    rows: set[tuple[int, ...]] = set()
-    for c in range(src[0], tgt[0] + 1):
-        for j in range(1, n + 1):
-            x = (c, j)
-            t = zq_tau(x)
-            if t[0] < src[0]:
-                continue
-            prefixes = _enumerate_paths(n, src, t)
-            if not prefixes:
-                continue
-            suffixes = _enumerate_paths(n, x, tgt)
-            if not suffixes:
-                continue
-            middles = [y for y in zq_in_arrows(n, x)]
-            for u in prefixes:
-                for v in suffixes:
-                    row = [0] * len(paths)
-                    for y in middles:
-                        row[index[u + (y,) + v]] += 1
-                    rows.add(tuple(row))
-    return len(paths) - int_rank([list(r) for r in rows])
-
-
 # ---------------------------------------------------------------------------
 # morphism spaces: explicit graded bases, composition
 
@@ -544,7 +457,9 @@ class MorphismSpace:
 
     ``components`` maps each shift with nonzero Hom to its basis of path
     classes; the basis is the lexicographically first independent set of
-    paths modulo the mesh relations.
+    paths modulo the mesh relations.  ``slots`` lists the basis
+    coordinates ``(shift, index)`` in the flat order used by ``basis``
+    and ``flatten``.
     """
 
     def __init__(self, source: TaggedEdge, target: TaggedEdge):
@@ -570,13 +485,16 @@ class MorphismSpace:
                 )
                 for p in sp.paths
             )
+        self.slots = tuple(
+            (k, i) for k in sorted(self.components) for i in range(self.dim(k))
+        )
 
     def dim(self, shift: int) -> int:
         return len(self.components.get(shift, ()))
 
     @property
     def total_dim(self) -> int:
-        return sum(len(b) for b in self.components.values())
+        return len(self.slots)
 
     def basis_element(self, shift: int, index: int) -> "Morphism":
         if index >= self.dim(shift):
@@ -584,11 +502,11 @@ class MorphismSpace:
         return Morphism(self.source, self.target, {(shift, index): Fraction(1)})
 
     def basis(self) -> list["Morphism"]:
-        return [
-            self.basis_element(k, i)
-            for k in sorted(self.components)
-            for i in range(self.dim(k))
-        ]
+        return [self.basis_element(k, i) for k, i in self.slots]
+
+    def flatten(self, mor: "Morphism") -> list[Fraction]:
+        """Coordinates of a morphism of this space in the ``slots`` order."""
+        return [mor.coeffs.get(slot, Fraction(0)) for slot in self.slots]
 
 
 _SPACES: dict[tuple[TaggedEdge, TaggedEdge], MorphismSpace] = {}

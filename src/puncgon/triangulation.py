@@ -5,14 +5,14 @@ Every maximal non-crossing set has exactly n elements; the enumeration
 below does not assume this (it collects maximal sets of any size), so
 the size law stays independently falsifiable.  Exchange factors are the
 indecomposable summands of minimal right approximations over the rest of
-the triangulation, computed from explicit Hom bases; a brute-force
-search over small summand multisets, certified by exact surjectivity
-checks with seeded generic maps, confirms minimality.
+the triangulation; they and the Gabriel quiver arrows are both read off
+the same kernel, the span of compositions through the other members
+inside an explicit Hom basis.  The test suite certifies the factors
+against a separate brute-force approximation search.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,15 +37,21 @@ class ExchangeError(RuntimeError):
 class Triangulation:
     """A maximal set of pairwise non-crossing tagged edges.
 
-    Always has exactly n elements; the constructor enforces this, and the
-    enumeration suite re-derives it without assuming it.
+    Always has exactly n elements; the constructor enforces this and
+    rejects an edge listed twice, and the enumeration suite re-derives
+    the size without assuming it.
     """
 
     n: int
     edges: tuple[TaggedEdge, ...]
 
     def __post_init__(self):
-        edges = tuple(sorted(set(self.edges), key=edge_sort_key))
+        edges = tuple(sorted(self.edges, key=edge_sort_key))
+        seen: set[TaggedEdge] = set()
+        for e in edges:
+            if e in seen:
+                raise ValueError(f"edge {e} is listed more than once")
+            seen.add(e)
         object.__setattr__(self, "edges", edges)
         for e in edges:
             if e.n != self.n:
@@ -225,148 +231,34 @@ class ExchangeData:
         )
 
 
-class _HomContext:
-    """Hom bases and pairwise composition products over a fixed edge set."""
-
-    def __init__(self, edges: list[TaggedEdge]):
-        self.edges = list(edges)
-        self._spaces: dict[tuple[TaggedEdge, TaggedEdge], list[Morphism]] = {}
-        self._flat: dict[tuple[TaggedEdge, TaggedEdge], list[tuple[int, int]]] = {}
-
-    def basis(self, a: TaggedEdge, b: TaggedEdge) -> list[Morphism]:
-        key = (a, b)
-        if key not in self._spaces:
-            space = morphism_space(a, b)
-            self._spaces[key] = space.basis()
-            self._flat[key] = [
-                (k, i) for k in sorted(space.components) for i in range(space.dim(k))
-            ]
-        return self._spaces[key]
-
-    def flatten(self, a: TaggedEdge, b: TaggedEdge, mor: Morphism) -> list[Fraction]:
-        self.basis(a, b)
-        slots = self._flat[(a, b)]
-        return [mor.coeffs.get(slot, Fraction(0)) for slot in slots]
-
-    def hom_dim(self, a: TaggedEdge, b: TaggedEdge) -> int:
-        return len(self.basis(a, b))
+def _composite_span(a: TaggedEdge, b: TaggedEdge, through) -> FractionElim:
+    """Span, inside Hom(a, b) in its flat coordinates, of the compositions
+    a -> c -> b over every c in ``through``."""
+    space = morphism_space(a, b)
+    elim = FractionElim(space.total_dim)
+    for c in through:
+        gs = morphism_space(c, b).basis()
+        for f in morphism_space(a, c).basis():
+            for g in gs:
+                elim.add(space.flatten(compose(f, g)))
+    return elim
 
 
 def _top_multiplicities(
-    ctx: _HomContext, context: list[TaggedEdge], target: TaggedEdge
+    context: list[TaggedEdge], target: TaggedEdge
 ) -> dict[TaggedEdge, int]:
     """Multiplicity of each context edge in the minimal right approximation
     of the target: the part of Hom(C, target) not reached by compositions
     through the other context edges."""
     mult: dict[TaggedEdge, int] = {}
     for c in context:
-        dim = ctx.hom_dim(c, target)
+        dim = morphism_space(c, target).total_dim
         if dim == 0:
             continue
-        elim = FractionElim(dim)
-        for d in context:
-            if d == c:
-                continue
-            for f in ctx.basis(c, d):
-                for g in ctx.basis(d, target):
-                    elim.add(ctx.flatten(c, target, compose(f, g)))
-        top = dim - elim.rank
+        top = dim - _composite_span(c, target, [d for d in context if d != c]).rank
         if top:
             mult[c] = top
     return mult
-
-
-def _admits_surjections(
-    ctx: _HomContext,
-    context: list[TaggedEdge],
-    target: TaggedEdge,
-    multiset: dict[TaggedEdge, int],
-    rng: random.Random,
-    trials: int = 4,
-) -> bool:
-    """Whether some map from the given sum makes every induced
-    Hom(T_j, -) map onto Hom(T_j, target).  A passing seeded trial is an
-    exact certificate; failure after all trials reports no."""
-    summands = [(c, s) for c, k in sorted(multiset.items(), key=lambda kv: edge_sort_key(kv[0])) for s in range(k)]
-    checks = [j for j in context if ctx.hom_dim(j, target) > 0]
-    if not summands:
-        return not checks
-    for _ in range(trials):
-        coeffs = {
-            (c, s): [Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
-                     for _ in range(ctx.hom_dim(c, target))]
-            for (c, s) in summands
-        }
-        ok = True
-        for j in checks:
-            want = ctx.hom_dim(j, target)
-            elim = FractionElim(want)
-            rank = 0
-            for (c, s) in summands:
-                fs = ctx.basis(c, target)
-                for g in ctx.basis(j, c):
-                    vec = [Fraction(0)] * want
-                    for fi, f in enumerate(fs):
-                        a = coeffs[(c, s)][fi]
-                        if a:
-                            prod = ctx.flatten(j, target, compose(g, f))
-                            vec = [x + a * y for x, y in zip(vec, prod)]
-                    if elim.add(vec):
-                        rank += 1
-                        if rank == want:
-                            break
-                if rank == want:
-                    break
-            if rank != want:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
-
-
-def _search_minimal_multiset(
-    ctx: _HomContext,
-    context: list[TaggedEdge],
-    target: TaggedEdge,
-    rng: random.Random,
-    cap: int = 3,
-) -> dict[TaggedEdge, int]:
-    """Brute-force search: smallest summand multiset (multiplicities <= 2)
-    whose generic map surjects on every Hom(T_j, -)."""
-    relevant = [c for c in context if ctx.hom_dim(c, target) > 0]
-    best: dict[TaggedEdge, int] | None = None
-    for total in range(0, cap + 1):
-        for multiset in _multisets(relevant, total):
-            if _admits_surjections(ctx, context, target, multiset, rng):
-                best = multiset
-                break
-        if best is not None:
-            break
-    if best is None:
-        raise ExchangeError(
-            f"no approximation of {target} with at most {cap} summands"
-        )
-    return best
-
-
-def _multisets(items: list[TaggedEdge], total: int):
-    items = sorted(items, key=edge_sort_key)
-
-    def rec(idx: int, remaining: int):
-        if remaining == 0:
-            yield {}
-            return
-        if idx == len(items):
-            return
-        for take in range(min(2, remaining), -1, -1):
-            for rest in rec(idx + 1, remaining - take):
-                if take:
-                    yield {items[idx]: take, **rest}
-                else:
-                    yield rest
-
-    yield from rec(0, total)
 
 
 def _factors_tuple(multiset: dict[TaggedEdge, int]) -> tuple[TaggedEdge, ...]:
@@ -377,23 +269,21 @@ def _factors_tuple(multiset: dict[TaggedEdge, int]) -> tuple[TaggedEdge, ...]:
 
 
 def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
-    """Factors of the exchange relation at m: the summands of the minimal
-    right approximations of m and of its flip partner over t minus m."""
+    """Flip m in t and return the factors of its exchange relation.
+
+    The side factors are the summands of the minimal right approximation
+    of m over t minus m, and the coside factors those of its flip partner.
+    The result is checked for the combinatorics of the exchange
+    quadrilateral (at most three factors per side, an empty side exactly
+    in the translate case, factors in t crossing neither diagonal); a
+    failure raises :class:`ExchangeError`.
+    """
     _, inserted = flip(t, m)
     if crossing_number(m, inserted) != 1:
         raise ExchangeError(f"flip pair {m}, {inserted} has e != 1")
     context = [e for e in t.edges if e != m]
-    ctx = _HomContext(context + [m, inserted])
-    rng = random.Random(f"exchange:{t}:{m}")
-    sides = _top_multiplicities(ctx, context, m)
-    cosides = _top_multiplicities(ctx, context, inserted)
-    for target, expected in ((m, sides), (inserted, cosides)):
-        found = _search_minimal_multiset(ctx, context, target, rng)
-        if found != expected:
-            raise ExchangeError(
-                f"approximation search for {target} found {found}, "
-                f"expected {expected}"
-            )
+    sides = _top_multiplicities(context, m)
+    cosides = _top_multiplicities(context, inserted)
     data = ExchangeData(m, inserted, _factors_tuple(sides), _factors_tuple(cosides))
     for factors, tgt, other in (
         (data.side_factors, m, inserted),
@@ -446,30 +336,24 @@ def quiver_with_representatives(
     arrow count i -> j is dim Hom(T_i, T_j) minus the span of compositions
     through the other members."""
     verts = list(t.edges)
-    ctx = _HomContext(verts)
     arrows: list[tuple[int, int, int]] = []
     reps: dict[tuple[int, int], list[Morphism]] = {}
     for i, a in enumerate(verts):
-        if ctx.hom_dim(a, a) != 1:
+        if morphism_space(a, a).total_dim != 1:
             raise ExchangeError(f"End({a}) is not one-dimensional")
         for j, b in enumerate(verts):
             if i == j:
                 continue
-            dim = ctx.hom_dim(a, b)
+            space = morphism_space(a, b)
+            dim = space.total_dim
             if dim == 0:
                 continue
-            elim = FractionElim(dim)
-            for k, c in enumerate(verts):
-                if k in (i, j):
-                    continue
-                for f in ctx.basis(a, c):
-                    for g in ctx.basis(c, b):
-                        elim.add(ctx.flatten(a, b, compose(f, g)))
+            elim = _composite_span(a, b, [c for c in verts if c not in (a, b)])
             mult = dim - elim.rank
             if mult == 0:
                 continue
             chosen = []
-            for idx, mor in enumerate(ctx.basis(a, b)):
+            for idx, mor in enumerate(space.basis()):
                 vec = [Fraction(0)] * dim
                 vec[idx] = Fraction(1)
                 if elim.add(vec):

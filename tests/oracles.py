@@ -2,11 +2,29 @@
 
 Everything here is deliberately written from first principles, separate
 from the package's own algorithms, so that agreements are meaningful.
+Where an oracle needs the package at all, it uses only primitives
+(grid coordinates, Hom bases, composition, exact elimination), never the
+algorithm it certifies.
 """
 
 from __future__ import annotations
 
-from puncgon.geometry import TaggedEdge
+import random
+from fractions import Fraction
+
+from puncgon.geometry import TaggedEdge, edge_sort_key, grid_level
+from puncgon.linalg import FractionElim
+from puncgon.mesh import (
+    ZqVertex,
+    _relative_column,
+    _require_same_n,
+    _zq_level,
+    compose,
+    morphism_space,
+    zq_in_arrows,
+    zq_out_arrows,
+    zq_tau,
+)
 
 
 def lift_scan_crossing(m: TaggedEdge, other: TaggedEdge, width: int = 6) -> int:
@@ -94,3 +112,210 @@ def knitted_module_dimvecs(n: int) -> list[tuple[int, ...]]:
             assert all(v >= 0 for v in vec) and any(vec), (c, j, vec)
             dims[(c, j)] = vec
     return list(dims.values())
+
+
+# ---------------------------------------------------------------------------
+# Hom dimensions: additive knitting and the literal path / relation rank
+
+
+def int_rank(rows: list[list[int]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
+    m = [list(r) for r in rows]
+    if not m:
+        return 0
+    nrows, ncols = len(m), len(m[0])
+    rank = 0
+    prev = 1
+    for col in range(ncols):
+        piv = None
+        for r in range(rank, nrows):
+            if m[r][col] != 0:
+                piv = r
+                break
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        p = m[rank][col]
+        for r in range(rank + 1, nrows):
+            f = m[r][col]
+            if f == 0 and p == prev:
+                continue
+            row = m[r]
+            top = m[rank]
+            for c in range(col, ncols):
+                row[c] = (row[c] * p - f * top[c]) // prev
+        prev = p
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def hom_dims_by_knitting(n: int, src_level: int, max_col: int) -> dict[ZqVertex, int]:
+    """Additive mesh recurrence: d(x) = sum over in-arrows - d(tau x), with a
+    unit source term at the source vertex and at its shift copy n-1 columns
+    to the right (fork levels swap under the shift when n is odd).  Fast
+    consistency companion to the sweep."""
+    dims: dict[ZqVertex, int] = {}
+    shift_level = src_level
+    if n % 2 == 1 and src_level >= n - 1:
+        shift_level = 2 * n - 1 - src_level
+    sources = {(0, src_level), (n - 1, shift_level)}
+
+    def get(v: ZqVertex) -> int:
+        return dims.get(v, 0)
+
+    for c in range(0, max_col + 1):
+        for j in range(1, n + 1):
+            x = (c, j)
+            total = sum(get(y) for y in zq_in_arrows(n, x) if y[0] >= 0)
+            total -= get(zq_tau(x))
+            if x in sources:
+                total += 1
+            dims[x] = total
+    return dims
+
+
+def _enumerate_paths(n: int, src: ZqVertex, tgt: ZqVertex) -> list[tuple[ZqVertex, ...]]:
+    if tgt[0] < src[0]:
+        return []
+    memo: dict[ZqVertex, list[tuple[ZqVertex, ...]]] = {tgt: [(tgt,)]}
+
+    def suffixes(v: ZqVertex) -> list[tuple[ZqVertex, ...]]:
+        if v in memo:
+            return memo[v]
+        out = []
+        for w in zq_out_arrows(n, v):
+            if w[0] <= tgt[0]:
+                for s in suffixes(w):
+                    out.append((v,) + s)
+        memo[v] = out
+        return out
+
+    return suffixes(src)
+
+
+def hom_dim_mesh_by_rank(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
+    """Literal mesh Hom dimension: number of paths minus the exact rank of
+    the relation matrix spanned by all u * m_X * v.  Exponential; used to
+    certify the sweep on small windows."""
+    _require_same_n(m, other)
+    n = m.n
+    dc = _relative_column(m, other, shift)
+    if dc < 0:
+        return 0
+    src = (0, grid_level(m))
+    tgt = (dc, _zq_level(other, shift))
+    paths = _enumerate_paths(n, src, tgt)
+    if not paths:
+        return 0
+    index = {p: i for i, p in enumerate(paths)}
+    rows: set[tuple[int, ...]] = set()
+    for c in range(src[0], tgt[0] + 1):
+        for j in range(1, n + 1):
+            x = (c, j)
+            t = zq_tau(x)
+            if t[0] < src[0]:
+                continue
+            prefixes = _enumerate_paths(n, src, t)
+            if not prefixes:
+                continue
+            suffixes = _enumerate_paths(n, x, tgt)
+            if not suffixes:
+                continue
+            middles = [y for y in zq_in_arrows(n, x)]
+            for u in prefixes:
+                for v in suffixes:
+                    row = [0] * len(paths)
+                    for y in middles:
+                        row[index[u + (y,) + v]] += 1
+                    rows.add(tuple(row))
+    return len(paths) - int_rank([list(r) for r in rows])
+
+
+# ---------------------------------------------------------------------------
+# minimal right approximations by brute-force search
+
+
+def admits_surjections(
+    context: list[TaggedEdge],
+    target: TaggedEdge,
+    multiset: dict[TaggedEdge, int],
+    rng: random.Random,
+    trials: int = 4,
+) -> bool:
+    """Whether some map from the given sum makes every induced
+    Hom(T_j, -) map onto Hom(T_j, target).  A passing seeded trial is an
+    exact certificate; failure after all trials reports no."""
+    summands = [
+        (c, s)
+        for c, k in sorted(multiset.items(), key=lambda kv: edge_sort_key(kv[0]))
+        for s in range(k)
+    ]
+    checks = [j for j in context if morphism_space(j, target).total_dim > 0]
+    if not summands:
+        return not checks
+    for _ in range(trials):
+        coeffs = {
+            (c, s): [
+                Fraction(rng.choice((-3, -2, -1, 1, 2, 3)))
+                for _ in range(morphism_space(c, target).total_dim)
+            ]
+            for (c, s) in summands
+        }
+        if all(_surjects(j, target, summands, coeffs) for j in checks):
+            return True
+    return False
+
+
+def _surjects(j, target, summands, coeffs) -> bool:
+    """Whether Hom(j, sum) -> Hom(j, target) is onto for the given map."""
+    out = morphism_space(j, target)
+    want = out.total_dim
+    elim = FractionElim(want)
+    for (c, s) in summands:
+        fs = morphism_space(c, target).basis()
+        for g in morphism_space(j, c).basis():
+            vec = [Fraction(0)] * want
+            for a, f in zip(coeffs[(c, s)], fs):
+                if a:
+                    prod = out.flatten(compose(g, f))
+                    vec = [x + a * y for x, y in zip(vec, prod)]
+            elim.add(vec)
+            if elim.rank == want:
+                return True
+    return False
+
+
+def multisets(items: list[TaggedEdge], total: int):
+    """Multisets of the given edges with ``total`` members and every
+    multiplicity at most 2, largest multiplicities of early edges first."""
+    items = sorted(items, key=edge_sort_key)
+
+    def rec(idx: int, remaining: int):
+        if remaining == 0:
+            yield {}
+            return
+        if idx == len(items):
+            return
+        for take in range(min(2, remaining), -1, -1):
+            for rest in rec(idx + 1, remaining - take):
+                if take:
+                    yield {items[idx]: take, **rest}
+                else:
+                    yield rest
+
+    yield from rec(0, total)
+
+
+def minimal_approximation(
+    context: list[TaggedEdge], target: TaggedEdge, rng: random.Random, cap: int = 3
+) -> dict[TaggedEdge, int] | None:
+    """Smallest summand multiset (multiplicities <= 2, at most ``cap``
+    members) whose generic map surjects on every Hom(T_j, -), or None."""
+    relevant = [c for c in context if morphism_space(c, target).total_dim > 0]
+    for total in range(0, cap + 1):
+        for multiset in multisets(relevant, total):
+            if admits_surjections(context, target, multiset, rng):
+                return multiset
+    return None

@@ -95,6 +95,13 @@ def test_report_rejects_non_triangulation(capsys):
     assert "cross" in err
 
 
+def test_report_rejects_duplicate_edge(capsys):
+    code, out, err = run(capsys, "report", "--n", "5", "--T",
+                         "0-2,0-2,0-3,0-4,0|+,0|-")
+    assert code == 2 and out == ""
+    assert "0-2 is listed more than once" in err
+
+
 def test_triangulations_json_count(capsys):
     code, out, _ = run(capsys, "triangulations", "--n", "4", "--format", "json")
     data = json.loads(out)
@@ -125,6 +132,13 @@ def test_flipwalk_unknown_edge(capsys):
                        "3-1,3|+,1-3,1|+", "--script", "0-2")
     assert code == 2
     assert "current triangulation" in err
+
+
+def test_flipwalk_rejects_negative_random(capsys):
+    code, out, err = run(capsys, "flipwalk", "--n", "5", "--T",
+                         "0-2,0-3,0-4,0|+,0|-", "--random", "-3")
+    assert code == 2 and out == ""
+    assert "--random" in err
 
 
 def test_flipwalk_random_seeded_deterministic(capsys):

@@ -17,8 +17,6 @@ from puncgon.mesh import (
     hom_dim_closed_form,
     hom_dim_cluster,
     hom_dim_mesh,
-    hom_dim_mesh_by_rank,
-    hom_dims_by_knitting,
     identity_morphism,
     mesh_vertex_at,
     morphism_space,
@@ -27,6 +25,8 @@ from puncgon.mesh import (
     _relative_column,
     _sweep,
 )
+
+from oracles import hom_dim_mesh_by_rank, hom_dims_by_knitting
 
 # Hom dimensions out of grid position (1, 3) at n = 6; levels 1..6, columns
 # 1..6.  Frozen reference values for the worked example table.

@@ -1,3 +1,6 @@
+import dataclasses
+import random
+from collections import Counter
 from math import comb
 
 import pytest
@@ -15,6 +18,8 @@ from puncgon.triangulation import (
     maximal_noncrossing_sets,
     quiver_of_triangulation,
 )
+
+from oracles import admits_surjections, minimal_approximation
 
 
 def type_d_cluster_count(n: int) -> int:
@@ -46,6 +51,12 @@ def test_single_edge_not_maximal():
 def test_crossing_set_rejected():
     with pytest.raises(ValueError):
         Triangulation.of([TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)])
+
+
+def test_duplicate_edge_rejected():
+    fan = fan_triangulation(5, 0)
+    with pytest.raises(ValueError, match="edge 0-2 is listed more than once"):
+        Triangulation(5, fan.edges + (TaggedEdge(5, 0, 2),))
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -137,7 +148,8 @@ def test_flip_graph_connected_from_fan(n):
     assert len(seen) == len(enumerate_triangulations(n))
 
 
-def test_exchange_left_figure_configuration():
+def left_figure() -> tuple[Triangulation, TaggedEdge]:
+    """The n = 8 exchange configuration with two factors on each side."""
     t = Triangulation.of(
         [
             TaggedEdge(8, 0, 4),
@@ -150,17 +162,11 @@ def test_exchange_left_figure_configuration():
             TaggedEdge(8, 0, 6),
         ]
     )
-    data = exchange_sides(t, TaggedEdge(8, 0, 4))
-    assert data.inserted == TaggedEdge(8, 2, 6)
-    pairs = {
-        frozenset(map(str, data.side_factors)),
-        frozenset(map(str, data.coside_factors)),
-    }
-    assert pairs == {frozenset({"0-2", "4-6"}), frozenset({"0-6", "2-4"})}
-    assert "x[0-4] * x[2-6]" in data.relation_string()
+    return t, TaggedEdge(8, 0, 4)
 
 
-def test_exchange_right_figure_configuration():
+def right_figure() -> tuple[Triangulation, TaggedEdge]:
+    """The n = 8 exchange configuration with both tagged radii on one side."""
     t = Triangulation.of(
         [
             TaggedEdge(8, 6, 5),
@@ -173,7 +179,22 @@ def test_exchange_right_figure_configuration():
             TaggedEdge(8, 6, 0),
         ]
     )
-    data = exchange_sides(t, TaggedEdge(8, 6, 5))
+    return t, TaggedEdge(8, 6, 5)
+
+
+def test_exchange_left_figure_configuration():
+    data = exchange_sides(*left_figure())
+    assert data.inserted == TaggedEdge(8, 2, 6)
+    pairs = {
+        frozenset(map(str, data.side_factors)),
+        frozenset(map(str, data.coside_factors)),
+    }
+    assert pairs == {frozenset({"0-2", "4-6"}), frozenset({"0-6", "2-4"})}
+    assert "x[0-4] * x[2-6]" in data.relation_string()
+
+
+def test_exchange_right_figure_configuration():
+    data = exchange_sides(*right_figure())
     assert data.inserted == TaggedEdge(8, 5, 1)
     pairs = {
         frozenset(map(str, data.side_factors)),
@@ -183,6 +204,60 @@ def test_exchange_right_figure_configuration():
     assert pairs == {frozenset({"6-1", "5|+", "5|-"}), frozenset({"1-5"})}
     sizes = sorted((len(data.side_factors), len(data.coside_factors)))
     assert sizes == [1, 3]
+
+
+def oracle_disagreements(t, data) -> list[str]:
+    """Sides of ``data`` whose factor multiset differs from the smallest
+    approximation found by the brute-force search over t minus the
+    removed edge."""
+    context = [e for e in t.edges if e != data.removed]
+    rng = random.Random(f"exchange:{t}:{data.removed}")
+    out = []
+    for name, target, factors in (
+        ("side", data.removed, data.side_factors),
+        ("coside", data.inserted, data.coside_factors),
+    ):
+        found = minimal_approximation(context, target, rng)
+        if found != dict(Counter(factors)):
+            out.append(f"{name} of {target}: search {found}, exchange {factors}")
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exchange_factors_match_approximation_search_everywhere(n):
+    for t in enumerate_triangulations(n):
+        for m in t.edges:
+            assert oracle_disagreements(t, exchange_sides(t, m)) == [], (str(t), str(m))
+
+
+@pytest.mark.parametrize("figure", [left_figure, right_figure])
+def test_exchange_factors_match_approximation_search_figures(figure):
+    t, m = figure()
+    assert oracle_disagreements(t, exchange_sides(t, m)) == []
+
+
+@pytest.mark.parametrize("n, seed", [(8, 81), (10, 101)])
+def test_exchange_factors_match_approximation_search_on_walks(n, seed):
+    rng = random.Random(seed)
+    t = fan_triangulation(n, 0)
+    for _ in range(10):
+        m = rng.choice(t.edges)
+        data = exchange_sides(t, m)
+        assert oracle_disagreements(t, data) == [], (str(t), str(m))
+        t = t.replace(m, data.inserted)
+
+
+def test_approximation_oracle_rejects_corrupted_factors():
+    t, m = left_figure()
+    data = exchange_sides(t, m)
+    dropped = dataclasses.replace(data, side_factors=data.side_factors[1:])
+    assert oracle_disagreements(t, dropped) != []
+    # the search is not merely picky: a sum missing a factor admits no
+    # map onto m that is surjective on every Hom(T_j, -)
+    context = [e for e in t.edges if e != m]
+    rng = random.Random(0)
+    assert admits_surjections(context, m, dict(Counter(data.side_factors)), rng)
+    assert not admits_surjections(context, m, dict(Counter(dropped.side_factors)), rng)
 
 
 @pytest.mark.parametrize("n", [3, 4])
