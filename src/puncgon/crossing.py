@@ -20,6 +20,7 @@ central-central case.  Values always lie in {0, 1, 2}.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .geometry import TaggedEdge, enumerate_tagged_edges
 
@@ -68,6 +69,22 @@ def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
         if a < c < b < d or c < a < d < b:
             count += 1
     return count
+
+
+@cache
+def _canonical_bits(n: int) -> tuple[tuple[TaggedEdge, ...], dict[TaggedEdge, int]]:
+    """The edges of :func:`enumerate_tagged_edges` and the bit of each:
+    the i-th edge owns bit 1 << i."""
+    edges = tuple(enumerate_tagged_edges(n))
+    return edges, {e: 1 << i for i, e in enumerate(edges)}
+
+
+@cache
+def _compat_mask(m: TaggedEdge) -> int:
+    """Bits (as in :func:`_canonical_bits`) of every edge that m does not
+    cross, its own bit included; computed once per edge."""
+    edges, bits = _canonical_bits(m.n)
+    return sum(bits[e] for e in edges if crossing_number(m, e) == 0)
 
 
 @dataclass(frozen=True)

@@ -542,12 +542,6 @@ class Morphism:
             and self.normalized() == other.normalized()
         )
 
-    def scaled(self, factor) -> "Morphism":
-        f = Fraction(factor)
-        return Morphism(
-            self.source, self.target, {k: v * f for k, v in self.coeffs.items()}
-        )
-
     def plus(self, other: "Morphism") -> "Morphism":
         if (self.source, self.target) != (other.source, other.target):
             raise ValueError("cannot add morphisms between different objects")

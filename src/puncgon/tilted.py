@@ -20,7 +20,7 @@ from .geometry import (
     enumerate_tagged_edges,
     tau,
 )
-from .mesh import compose
+from .mesh import compose, zero_morphism
 from .triangulation import (
     QuiverPresentation,
     Triangulation,
@@ -158,7 +158,10 @@ def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:
         for arrows, mor in frontier:
             tail = arrows[-1][1]
             for (i, j, s, rep) in by_source.get(tail, ()):
-                composite = compose(mor, rep)
+                if mor.is_zero():  # every extension of a zero path is zero
+                    composite = zero_morphism(mor.source, rep.target)
+                else:
+                    composite = compose(mor, rep)
                 path = arrows + ((i, j, s),)
                 entries.append(VanishingEntry(path, composite.is_zero()))
                 nxt.append((path, composite))

@@ -1,9 +1,12 @@
 """Triangulations of the punctured polygon: maximal non-crossing sets of
 tagged edges, fans, flips, exchange factors, and endomorphism quivers.
 
-Every maximal non-crossing set has exactly n elements; the enumeration
-below does not assume this (it collects maximal sets of any size), so
-the size law stays independently falsifiable.  Exchange factors are the
+Every compatibility decision here (validation, flips, enumeration) reads
+one cached bitmask per edge from :mod:`crossing`: bit i is set iff the
+edge does not cross the i-th edge of the canonical order.  Every maximal
+non-crossing set has exactly n elements; the enumeration below does not
+assume this (it collects maximal sets of any size), so the size law
+stays independently falsifiable.  Exchange factors are the
 indecomposable summands of minimal right approximations over the rest of
 the triangulation; they and the Gabriel quiver arrows are both read off
 the same kernel, the span of compositions through the other members
@@ -16,13 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .crossing import crossing_number
-from .geometry import (
-    TaggedEdge,
-    edge_sort_key,
-    enumerate_tagged_edges,
-    tau,
-)
+from .crossing import _canonical_bits, _compat_mask, crossing_number
+from .geometry import TaggedEdge, edge_sort_key, tau
 from .linalg import FractionElim
 from .mesh import Morphism, compose, morphism_space
 
@@ -39,7 +37,10 @@ class Triangulation:
 
     Always has exactly n elements; the constructor enforces this and
     rejects an edge listed twice, and the enumeration suite re-derives
-    the size without assuming it.
+    the size without assuming it.  Every construction validates with
+    O(n) mask operations: the first crossing pair in canonical order is
+    reported, and the set is maximal iff the AND of the member masks is
+    the members' own bits.
     """
 
     n: int
@@ -56,16 +57,17 @@ class Triangulation:
         for e in edges:
             if e.n != self.n:
                 raise ValueError(f"edge {e} belongs to n={e.n}, not n={self.n}")
-        bad = _first_crossing_pair(edges)
-        if bad is not None:
-            raise ValueError(
-                f"edges {bad[0]} and {bad[1]} cross (e={crossing_number(*bad)})"
-            )
-        missing = _extension_candidates(self.n, edges)
+        bits = _canonical_bits(self.n)[1]
+        members = _bits_of(edges)
+        for a in edges:
+            crossed = members & -bits[a] & ~_compat_mask(a)  # later members a crosses
+            if crossed:
+                b = _lowest_edge(self.n, crossed)
+                raise ValueError(f"edges {a} and {b} cross (e={crossing_number(a, b)})")
+        missing = _common(edges) & ~members
         if missing:
-            raise ValueError(
-                f"set is not maximal: {missing[0]} is compatible with every member"
-            )
+            e = _lowest_edge(self.n, missing)
+            raise ValueError(f"set is not maximal: {e} is compatible with every member")
         if len(edges) != self.n:
             raise ValueError(
                 f"maximal non-crossing set of unexpected size {len(edges)} != {self.n}"
@@ -91,35 +93,38 @@ class Triangulation:
         return Triangulation(self.n, tuple(e for e in self.edges if e != old) + (new,))
 
 
-def _first_crossing_pair(edges):
-    for i, a in enumerate(edges):
-        for b in edges[i + 1 :]:
-            if crossing_number(a, b) != 0:
-                return (a, b)
-    return None
+def _bits_of(edges) -> int:
+    """The set of edges (all of one polygon) as a bitset over the
+    canonical order."""
+    out = 0
+    for e in edges:
+        out |= _canonical_bits(e.n)[1][e]
+    return out
 
 
-def _extension_candidates(n: int, edges) -> list[TaggedEdge]:
-    members = set(edges)
-    return [
-        cand
-        for cand in enumerate_tagged_edges(n)
-        if cand not in members
-        and all(crossing_number(cand, e) == 0 for e in edges)
-    ]
+def _common(edges) -> int:
+    """Bitset of the edges compatible with every one of ``edges``."""
+    out = -1
+    for e in edges:
+        out &= _compat_mask(e)
+    return out
+
+
+def _lowest_edge(n: int, bitset: int) -> TaggedEdge:
+    """The canonically first edge of a nonempty bitset."""
+    return _canonical_bits(n)[0][(bitset & -bitset).bit_length() - 1]
 
 
 def is_triangulation(edges) -> bool:
-    """True iff the set is pairwise non-crossing and maximal."""
+    """True iff the set is pairwise non-crossing and maximal: the edges
+    compatible with every member are exactly the members."""
     edges = list(edges)
     if not edges:
         return False
     n = edges[0].n
     if any(e.n != n for e in edges):
         return False
-    if _first_crossing_pair(edges) is not None:
-        return False
-    return not _extension_candidates(n, edges)
+    return _common(edges) == _bits_of(edges)
 
 
 def fan_triangulation(n: int, base: int = 0) -> Triangulation:
@@ -132,35 +137,26 @@ def fan_triangulation(n: int, base: int = 0) -> Triangulation:
 def maximal_noncrossing_sets(n: int) -> list[frozenset[TaggedEdge]]:
     """Every maximal pairwise non-crossing set, of whatever size.
 
-    Plain Bron-Kerbosch over the compatibility graph, emitting sets in
-    lexicographic order of the canonical edge indices.
+    Bron-Kerbosch without pivoting over the compatibility graph, on
+    bitsets of the canonical edge indices; taking the lowest candidate
+    first emits the sets in lexicographic order of those indices.
     """
-    edges = enumerate_tagged_edges(n)
-    count = len(edges)
-    compat = [
-        [crossing_number(edges[i], edges[j]) == 0 for j in range(count)]
-        for i in range(count)
-    ]
+    edges = _canonical_bits(n)[0]
+    masks = [_compat_mask(e) for e in edges]
     out: list[frozenset[TaggedEdge]] = []
 
-    def extend(chosen: list[int], candidates: list[int], excluded: list[int]):
+    def extend(chosen: list[int], candidates: int, excluded: int):
         if not candidates and not excluded:
             out.append(frozenset(edges[i] for i in chosen))
             return
-        cands = list(candidates)
-        excl = list(excluded)
-        while cands:
-            v = cands[0]
-            row = compat[v]
-            extend(
-                chosen + [v],
-                [w for w in cands if w != v and row[w]],
-                [w for w in excl if row[w]],
-            )
-            cands.pop(0)
-            excl.append(v)
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            bit = 1 << v
+            extend(chosen + [v], candidates & masks[v] & ~bit, excluded & masks[v])
+            candidates &= ~bit
+            excluded |= bit
 
-    extend([], list(range(count)), [])
+    extend([], (1 << len(edges)) - 1, 0)
     return out
 
 
@@ -178,7 +174,9 @@ def enumerate_triangulations(
 
 
 def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
-    """Exchange m for the unique other edge completing t minus m.
+    """Exchange m for the unique other edge completing t minus m: the one
+    bit left after AND-ing the masks of the n - 1 remaining members and
+    clearing the members' bits.
 
     The replacement always exists, is unique, and crosses m exactly once;
     anything else aborts loudly, since it would falsify the exchange
@@ -186,19 +184,10 @@ def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     """
     if m not in t:
         raise ValueError(f"edge {m} is not in the triangulation")
-    rest = [e for e in t.edges if e != m]
-    candidates = [
-        cand
-        for cand in enumerate_tagged_edges(t.n)
-        if cand != m
-        and cand not in rest
-        and all(crossing_number(cand, e) == 0 for e in rest)
-    ]
-    if len(candidates) != 1:
-        raise ExchangeError(
-            f"flip of {m} in {t} has {len(candidates)} completions, expected 1"
-        )
-    new = candidates[0]
+    free = _common(e for e in t.edges if e != m) & ~_bits_of(t.edges)
+    if free.bit_count() != 1:
+        raise ExchangeError(f"flip of {m} in {t} has {free.bit_count()} completions, expected 1")
+    new = _lowest_edge(t.n, free)
     return t.replace(m, new), new
 
 
@@ -314,12 +303,6 @@ class QuiverPresentation:
     vertices: tuple[TaggedEdge, ...]
     arrows: tuple[tuple[int, int, int], ...]  # (source index, target index, multiplicity)
     vanishing_paths: tuple = ()
-
-    def arrow_multiplicity(self, i: int, j: int) -> int:
-        for a, b, k in self.arrows:
-            if (a, b) == (i, j):
-                return k
-        return 0
 
     def transposed(self) -> "QuiverPresentation":
         return QuiverPresentation(

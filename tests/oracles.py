@@ -9,6 +9,7 @@ algorithm it certifies.
 
 from __future__ import annotations
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -119,36 +120,39 @@ def knitted_module_dimvecs(n: int) -> list[tuple[int, ...]]:
 
 
 def int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination."""
-    m = [list(r) for r in rows]
-    if not m:
-        return 0
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if m[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, nrows):
-            f = m[r][col]
-            if f == 0 and p == prev:
+    """Exact rank of an integer matrix by sparse elimination over Fraction.
+
+    Rows are dicts of their nonzero entries, taken shortest first.  Each
+    row is reduced against the pivot rows in the order they were found
+    (a pivot row holds no column of an earlier pivot, so reducing by it
+    only brings in columns of later pivots); a row left nonzero becomes
+    the next pivot row, scaled to 1 at its first column.
+    """
+    order: dict[int, int] = {}  # pivot column -> index of its pivot row
+    pivots: list[tuple[int, dict[int, Fraction]]] = []
+    for dense in sorted(rows, key=lambda r: sum(1 for v in r if v)):
+        row = {c: Fraction(v) for c, v in enumerate(dense) if v}
+        todo = [order[c] for c in row if c in order]
+        heapq.heapify(todo)
+        while todo:
+            col, prow = pivots[heapq.heappop(todo)]
+            f = row.get(col)
+            if f is None:
                 continue
-            row = m[r]
-            top = m[rank]
-            for c in range(col, ncols):
-                row[c] = (row[c] * p - f * top[c]) // prev
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+            for c, v in prow.items():
+                new = row.get(c, 0) - f * v
+                if new:
+                    if c not in row and c in order:
+                        heapq.heappush(todo, order[c])
+                    row[c] = new
+                else:
+                    row.pop(c, None)
+        if row:
+            col = min(row)
+            p = row[col]
+            order[col] = len(pivots)
+            pivots.append((col, {c: v / p for c, v in row.items()}))
+    return len(pivots)
 
 
 def hom_dims_by_knitting(n: int, src_level: int, max_col: int) -> dict[ZqVertex, int]:

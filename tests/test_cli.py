@@ -127,6 +127,13 @@ def test_flipwalk_involution_script(capsys):
     assert all(s["crossing"] == 1 for s in data["steps"])
 
 
+def test_flipwalk_rejects_crossing_start(capsys):
+    code, out, err = run(capsys, "flipwalk", "--n", "5", "--T",
+                         "0-2,1-3,0-3,0|+,0|-")
+    assert code == 2 and out == ""
+    assert "edges 0-2 and 1-3 cross (e=1)" in err
+
+
 def test_flipwalk_unknown_edge(capsys):
     code, _, err = run(capsys, "flipwalk", "--n", "4", "--T",
                        "3-1,3|+,1-3,1|+", "--script", "0-2")

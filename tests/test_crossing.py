@@ -1,6 +1,8 @@
 import pytest
 
 from puncgon.crossing import (
+    _canonical_bits,
+    _compat_mask,
     compatible,
     crossing_matrix,
     crossing_number,
@@ -107,3 +109,16 @@ def test_rejects_mixed_n():
 def test_compatible_helper():
     assert compatible(TaggedEdge(6, 0, 2), TaggedEdge(6, 0, 3))
     assert not compatible(TaggedEdge(6, 0, 2), TaggedEdge(6, 1, 3))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_compat_masks_match_crossing_number(n):
+    edges = enumerate_tagged_edges(n)
+    order, bits = _canonical_bits(n)
+    assert list(order) == edges
+    assert [bits[e] for e in edges] == [1 << i for i in range(n * n)]
+    for m in edges:
+        mask = _compat_mask(m)
+        assert mask >> (n * n) == 0
+        for i, other in enumerate(edges):
+            assert (mask >> i) & 1 == (crossing_number(m, other) == 0), (m, other)

@@ -26,7 +26,7 @@ from puncgon.mesh import (
     _sweep,
 )
 
-from oracles import hom_dim_mesh_by_rank, hom_dims_by_knitting
+from oracles import hom_dim_mesh_by_rank, hom_dims_by_knitting, int_rank
 
 # Hom dimensions out of grid position (1, 3) at n = 6; levels 1..6, columns
 # 1..6.  Frozen reference values for the worked example table.
@@ -148,6 +148,36 @@ def test_literal_rank_oracle_samples_wide():
     ]
     for m, other, k in cases:
         assert hom_dim_mesh(m, other, k) == hom_dim_mesh_by_rank(m, other, k)
+
+
+@pytest.mark.parametrize(
+    "n, source, target, dim",
+    [(5, "0-2", "3-0", 1), (5, "0-4", "2-0", 2), (6, "0-2", "4-0", 1), (6, "0-5", "3-0", 2)],
+)
+def test_literal_rank_oracle_nonzero(n, source, target, dim):
+    m, other = TaggedEdge.parse(n, source), TaggedEdge.parse(n, target)
+    assert hom_dim_mesh_by_rank(m, other, 0) == dim
+    assert hom_dim_mesh(m, other, 0) == dim
+
+
+@pytest.mark.parametrize(
+    "rows, rank",
+    [
+        ([], 0),
+        ([[0, 0, 0], [0, 0, 0]], 0),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3),
+        ([[1, 2], [2, 4]], 1),
+        ([[2, 3], [3, 2]], 2),
+        ([[1, 0, 1], [1, 0, 1], [0, 1, 0]], 2),
+        ([[1, 1, 0], [0, 1, 1], [1, 0, -1]], 2),
+        ([[2, 4, 1], [1, 2, 0], [0, 0, 3]], 2),
+        ([[1, 1, 1, 1], [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 64]], 4),
+        ([[0, 1, 1, 0, 1], [1, 1, 0, 0, 0]], 2),
+        ([[1, 2], [2, 4], [3, 6], [0, 1], [1, 3]], 2),
+    ],
+)
+def test_int_rank_known_matrices(rows, rank):
+    assert int_rank(rows) == rank
 
 
 @pytest.mark.parametrize("n", range(3, 7))

@@ -44,13 +44,21 @@ def test_all_radii_triangulation():
 
 def test_single_edge_not_maximal():
     assert not is_triangulation([TaggedEdge(5, 0, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         Triangulation.of([TaggedEdge(5, 0, 2)])
+    assert str(info.value) == "set is not maximal: 0-3 is compatible with every member"
 
 
 def test_crossing_set_rejected():
-    with pytest.raises(ValueError):
-        Triangulation.of([TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)])
+    # the message names the first crossing pair in canonical edge order
+    for n, edges, message in [
+        (5, "0-2,1-3", "edges 0-2 and 1-3 cross (e=1)"),
+        (6, "0-3,1-4,2-5,0-2", "edges 0-2 and 1-4 cross (e=1)"),
+        (5, "0|+,1|-,2|-", "edges 0|+ and 1|- cross (e=1)"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Triangulation.of([TaggedEdge.parse(n, e) for e in edges.split(",")])
+        assert str(info.value) == message
 
 
 def test_duplicate_edge_rejected():
@@ -59,13 +67,15 @@ def test_duplicate_edge_rejected():
         Triangulation(5, fan.edges + (TaggedEdge(5, 0, 2),))
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", range(3, 9))
 def test_counts_against_formula(n):
-    tris = enumerate_triangulations(n)
-    assert len(tris) == type_d_cluster_count(n)
-    assert all(len(t.edges) == n for t in tris)
+    sets = maximal_noncrossing_sets(n)
+    assert len(sets) == type_d_cluster_count(n)
+    assert all(len(s) == n for s in sets)
+    tris = enumerate_triangulations(n, max_n=8)
+    assert [set(t.edges) for t in tris] == sets
     # deterministic order
-    again = enumerate_triangulations(n)
+    again = enumerate_triangulations(n, max_n=8)
     assert [str(t) for t in tris] == [str(t) for t in again]
 
 
@@ -129,6 +139,20 @@ def test_fan_radius_flip_partner():
     t = fan_triangulation(5, 0)
     _, new = flip(t, TaggedEdge.central(5, 0, 1))
     assert new == TaggedEdge.central(5, 4, -1)
+
+
+@pytest.mark.parametrize("n, seed", [(20, 3), (30, 4)])
+def test_seeded_flip_walk_large_n(n, seed):
+    rng = random.Random(seed)
+    t = fan_triangulation(n, rng.randrange(n))
+    for _ in range(100):
+        m = rng.choice(t.edges)
+        t2, new = flip(t, m)
+        assert crossing_number(m, new) == 1
+        assert new not in t.edges and is_triangulation(t2.edges)
+        t3, back = flip(t2, new)
+        assert back == m and t3.edges == t.edges
+        t = t2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
