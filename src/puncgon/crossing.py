@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-from .geometry import TaggedEdge, enumerate_tagged_edges
+from .geometry import TaggedEdge, _require_same_n, enumerate_tagged_edges
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,6 @@ def lift(e: TaggedEdge) -> LiftChord:
     return LiftChord(e.start, e.start + ((e.end - e.start) % e.n), "chord")
 
 
-def _require_same_n(m: TaggedEdge, n_: TaggedEdge):
-    if m.n != n_.n:
-        raise ValueError(f"edges built for different polygons: n={m.n} vs n={n_.n}")
-
-
 def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
     """Minimal number of interior intersection points of two tagged edges."""
     _require_same_n(m, other)
@@ -61,8 +56,9 @@ def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
         # the ray translate strictly inside the chord window, if any
         off = (ray.start - chord.lo) % n
         return 1 if 0 < off < chord.hi - chord.lo else 0
-    a, b = lift(m).lo, lift(m).hi
-    c0, d0 = lift(other).lo, lift(other).hi
+    chord_m, chord_other = lift(m), lift(other)
+    a, b = chord_m.lo, chord_m.hi
+    c0, d0 = chord_other.lo, chord_other.hi
     count = 0
     for k in range(-2, 3):
         c, d = c0 + k * n, d0 + k * n

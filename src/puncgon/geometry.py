@@ -135,6 +135,11 @@ class TaggedEdge:
         return f"TaggedEdge({self.n}, {self!s})"
 
 
+def _require_same_n(m: TaggedEdge, other: TaggedEdge):
+    if m.n != other.n:
+        raise ValueError(f"edges built for different polygons: n={m.n} vs n={other.n}")
+
+
 def edge_sort_key(e: TaggedEdge):
     """Canonical order: plain edges by (start, span), then central edges
     by (vertex, tag with + first)."""
@@ -227,16 +232,29 @@ def grid_column(m: TaggedEdge, base: Vertex = 0) -> int:
     return ((m.start - base) % m.n) + 1
 
 
+def _fork_level(n: int, tag: int, column: int) -> int:
+    """Level of the central edge with this tag in the given column.
+
+    Central edges occupy the two fork levels n-1 and n.  The top level n
+    holds, in column c, the tag with tag * (-1)**(c+1) == +1, so the
+    plus-tagged central edge of the base vertex sits at level n.  The
+    column may be absolute (shift * n + grid column): the rule follows its
+    parity.  The convention is pinned by the translation and Hom agreement
+    suites.
+    """
+    return n if tag * (-1) ** (column + 1) == 1 else n - 1
+
+
+def _fork_tag(n: int, level: int, column: int) -> int:
+    """Inverse of :func:`_fork_level`: the tag at fork level n-1 or n."""
+    top = (-1) ** (column + 1)
+    return top if level == n else -top
+
+
 def grid_level(m: TaggedEdge, base: Vertex = 0) -> int:
-    # Central edges occupy the two fork levels n-1 and n.  The top level n
-    # holds, in grid column i, the tag with tag * (-1)**(i+1) == +1, so the
-    # plus-tagged central edge of the base vertex sits at level n.  The
-    # convention is pinned by the translation and Hom agreement suites.
-    n = m.n
     if not m.is_central:
         return m.span - 2
-    i = grid_column(m, base)
-    return n if m.tag * (-1) ** (i + 1) == 1 else n - 1
+    return _fork_level(m.n, m.tag, grid_column(m, base))
 
 
 def pos(m: TaggedEdge, base: Vertex = 0) -> Position:
@@ -244,7 +262,7 @@ def pos(m: TaggedEdge, base: Vertex = 0) -> Position:
 
     The plain edge of span 3 at the base vertex goes to (1, 1); plain
     edges sit at level span - 2, central edges at the fork levels
-    n-1 and n by the tag/parity rule of :func:`grid_level`.
+    n-1 and n by the tag/parity rule of :func:`_fork_level`.
     """
     return Position(grid_column(m, base), grid_level(m, base))
 
@@ -259,8 +277,7 @@ def pos_inv(n: int, p: Position | tuple[int, int], base: Vertex = 0) -> TaggedEd
     a = (base + i - 1) % n
     if j <= n - 2:
         return TaggedEdge(n, a, (a + j + 1) % n, 1)
-    top = (-1) ** (i + 1)
-    return TaggedEdge.central(n, a, top if j == n else -top)
+    return TaggedEdge.central(n, a, _fork_tag(n, j, i))
 
 
 def parse_edge_list(n: int, text: str) -> list[TaggedEdge]:

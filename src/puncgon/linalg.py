@@ -1,5 +1,5 @@
-"""Exact linear algebra: small rational eliminations and solves.  No
-floating point anywhere."""
+"""Exact linear algebra: incremental rational row reduction.  No floating
+point anywhere."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ from fractions import Fraction
 class FractionElim:
     """Incremental row-reduction over the rationals.
 
-    Rows are kept in reduced echelon form; ``reduce`` returns the residual
+    Rows are kept in reduced echelon form: ``pivots`` lists (column, row)
+    pairs by column, each row's pivot is its first nonzero entry, equal to
+    1, and every other row is zero there.  ``reduce`` returns the residual
     of a vector against the span, ``add`` additionally inserts a nonzero
     residual and reports whether the rank grew.
     """
@@ -47,41 +49,3 @@ class FractionElim:
                 return True
         return False
 
-
-def solve_exact(basis: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Coefficients c with sum(c_i * basis_i) == target; raises if unsolvable."""
-    if not basis:
-        if any(target):
-            raise ValueError("inconsistent system: nonzero target, empty basis")
-        return []
-    width = len(basis[0])
-    k = len(basis)
-    # augmented columns: basis vectors | target, eliminate over rows
-    aug = [[Fraction(basis[j][i]) for j in range(k)] + [Fraction(target[i])] for i in range(width)]
-    pivot_of_col: list[int | None] = [None] * k
-    r = 0
-    for c in range(k):
-        piv = None
-        for rr in range(r, width):
-            if aug[rr][c]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for rr in range(width):
-            if rr != r and aug[rr][c]:
-                f = aug[rr][c]
-                aug[rr] = [x - f * y for x, y in zip(aug[rr], aug[r])]
-        pivot_of_col[c] = r
-        r += 1
-    for rr in range(r, width):
-        if aug[rr][k]:
-            raise ValueError("inconsistent system: target outside span")
-    sol = [Fraction(0)] * k
-    for c, pr in enumerate(pivot_of_col):
-        if pr is not None:
-            sol[c] = aug[pr][k]
-    return sol

@@ -40,11 +40,14 @@ from fractions import Fraction
 
 from .geometry import (
     TaggedEdge,
+    _fork_level,
+    _fork_tag,
+    _require_same_n,
     elementary_moves,
     grid_column,
     grid_level,
 )
-from .linalg import FractionElim, solve_exact
+from .linalg import FractionElim
 
 ZqVertex = tuple[int, int]  # (column, level)
 
@@ -102,16 +105,17 @@ class MeshVertex:
 
     @property
     def zq(self) -> ZqVertex:
-        n = self.edge.n
-        c = self.shift * n + grid_column(self.edge)
-        if self.edge.is_central:
-            j = n if self.edge.tag * (-1) ** (c + 1) == 1 else n - 1
-        else:
-            j = grid_level(self.edge)
-        return (c, j)
+        c = self.shift * self.edge.n + grid_column(self.edge)
+        return (c, _zq_level(self.edge, self.shift))
 
     def __str__(self) -> str:
         return f"({self.shift}; {self.edge})"
+
+
+def _zq_level(edge: TaggedEdge, shift: int) -> int:
+    if edge.is_central:
+        return _fork_level(edge.n, edge.tag, shift * edge.n + grid_column(edge))
+    return grid_level(edge)
 
 
 def mesh_vertex_at(n: int, v: ZqVertex) -> MeshVertex:
@@ -122,8 +126,7 @@ def mesh_vertex_at(n: int, v: ZqVertex) -> MeshVertex:
     if j <= n - 2:
         edge = TaggedEdge(n, a, (a + j + 1) % n, 1)
     else:
-        top = (-1) ** (c + 1)
-        edge = TaggedEdge.central(n, a, top if j == n else -top)
+        edge = TaggedEdge.central(n, a, _fork_tag(n, j, c))
     return MeshVertex(shift, edge)
 
 
@@ -200,6 +203,7 @@ class _Space:
 
 
 _ZERO_SPACE = _Space(0, (), (), (), ())
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 class HomSweep:
@@ -212,6 +216,15 @@ class HomSweep:
     divided by the image of Hom(source, tau x) under the mesh map; this
     is the path space modulo all relations u * m_X * v, peeled off one
     final arrow at a time.
+
+    One reduced echelon form per vertex decides both.  Its columns are
+    the incoming coordinates, indexed by their candidate paths in
+    descending order, and its rows are the mesh relations, read from the
+    tau x column of each predecessor's projection.  A pivot is the first
+    nonzero entry of its row, so the pivot columns are the paths that
+    are combinations of relations and smaller paths; the free columns,
+    ascending, are the basis.  A free unit projects to itself and a pivot
+    unit to minus its reduced row on the free columns.
     """
 
     def __init__(self, n: int, src_level: int):
@@ -261,60 +274,39 @@ class HomSweep:
         ]
         if not ins:
             return _ZERO_SPACE
-        dims = [self._spaces[y].dim for y in ins]
         offs = []
-        total = 0
-        for d in dims:
-            offs.append(total)
-            total += d
-        # mesh relations: image of Hom(source, tau x) under the mesh map
+        paths = []  # candidate path of each incoming-sum coordinate
+        for y in ins:
+            offs.append(len(paths))
+            paths.extend(p + (x,) for p in self._spaces[y].paths)
+        total = len(paths)
+        # elimination column i holds the coordinate order[i]: descending paths
+        order = sorted(range(total), key=paths.__getitem__, reverse=True)
+        col = {u: i for i, u in enumerate(order)}
+        # mesh relations: the tau x column of each predecessor's projection
         t = zq_tau(x)
-        tsp = self.space(t)
-        mesh_rows = []
-        for u in range(tsp.dim):
-            unit = [Fraction(0)] * tsp.dim
-            unit[u] = Fraction(1)
-            row: list[Fraction] = []
-            for y in ins:
-                row.extend(self._arrow_apply(t, y, unit))
-            mesh_rows.append(row)
         relations = FractionElim(total)
-        greedy = FractionElim(total)
-        for row in mesh_rows:
+        for u in range(self.space(t).dim):
+            row = [_ZERO] * total
+            for y, off in zip(ins, offs):
+                ysp = self._spaces[y]
+                tcol = ysp.offs[ysp.ins.index(t)] + u
+                for b, prow in enumerate(ysp.proj):
+                    row[col[off + b]] = prow[tcol]
             relations.add(row)
-            greedy.add(list(row))
-        # candidate paths in lexicographic order; greedy independent picks
-        candidates = []
-        for y, off in zip(ins, offs):
-            ysp = self._spaces[y]
-            for b in range(ysp.dim):
-                candidates.append((ysp.paths[b] + (x,), off + b))
-        candidates.sort(key=lambda pu: pu[0])
-        basis_paths = []
-        basis_units = []
-        for path, unit_index in candidates:
-            vec = [Fraction(0)] * total
-            vec[unit_index] = Fraction(1)
-            if greedy.add(vec):
-                basis_paths.append(path)
-                basis_units.append(unit_index)
-        dim = len(basis_paths)
-        assert dim == total - relations.rank
-        # projection of every incoming-sum coordinate onto the chosen basis
-        reduced_basis = []
-        for uidx in basis_units:
-            vec = [Fraction(0)] * total
-            vec[uidx] = Fraction(1)
-            reduced_basis.append(relations.reduce(vec))
-        proj_cols = []
-        for tcol in range(total):
-            vec = [Fraction(0)] * total
-            vec[tcol] = Fraction(1)
-            proj_cols.append(solve_exact(reduced_basis, relations.reduce(vec)))
+        # pivots are the rejected paths; the free columns, ascending, are the basis
+        reduced = dict(relations.pivots)
+        basis = [i for i in reversed(range(total)) if i not in reduced]
         proj = tuple(
-            tuple(proj_cols[tcol][r] for tcol in range(total)) for r in range(dim)
+            tuple(
+                -reduced[col[u]][b] if col[u] in reduced else (_ONE if col[u] == b else _ZERO)
+                for u in range(total)
+            )
+            for b in basis
         )
-        return _Space(dim, tuple(basis_paths), tuple(ins), tuple(offs), proj)
+        return _Space(
+            len(basis), tuple(paths[order[b]] for b in basis), tuple(ins), tuple(offs), proj
+        )
 
     def reduce_path(self, path: tuple[ZqVertex, ...]) -> tuple[ZqVertex, list[Fraction]]:
         """Coordinates of a path class in the stored basis at its endpoint."""
@@ -350,17 +342,8 @@ def _sweep(n: int, src_level: int) -> HomSweep:
 # dimensions
 
 
-def _require_same_n(m: TaggedEdge, other: TaggedEdge):
-    if m.n != other.n:
-        raise ValueError(f"edges built for different polygons: n={m.n} vs n={other.n}")
-
-
 def _relative_column(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
     return grid_column(other) + shift * m.n - grid_column(m)
-
-
-def _zq_level(edge: TaggedEdge, shift: int) -> int:
-    return MeshVertex(shift, edge).zq[1]
 
 
 def hom_dim_mesh(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
@@ -411,7 +394,7 @@ def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
     i = ((grid_column(other) - cm) % n) + 1
     mm = grid_level(m)
     if other.is_central:
-        j = n if other.tag * (-1) ** (cm + i) == 1 else n - 1
+        j = _fork_level(n, other.tag, cm + i - 1)
     else:
         j = grid_level(other)
     if mm <= n - 2:

@@ -7,11 +7,17 @@ Run from the repository root on a commit whose output is trusted:
 It writes one file per command (the exact stdout) and ``MANIFEST.json``,
 which maps each file name to its argv.  ``tests/test_golden.py`` replays
 the manifest and compares byte for byte.  The corpus pins refactors to
-identical output: never re-record it to make a difference go away.
+identical output, so recording only ever adds: a file is written only
+when it is missing, and a file whose recorded bytes would change is left
+as it is.  The manifest may gain cases but never drop or alter one.  If
+anything would change, the script names every such file and exits 1.
 
 Cases: for n = 5..8, a seeded walk of 12 random flips from the fan at
 vertex 0 (JSON and text), then ``report`` in JSON, text and DOT on the
-walk's final triangulation, plus one ``--no-op`` report.
+walk's final triangulation, plus one ``--no-op`` report.  Then, for
+n = 5..8, ``hom --basis --grid`` on three pairs: 0-3 -> 1-0 (dimension
+2), 2-4 -> 0-2 (a component at shift 1) and 0|+ -> 1|+ (both ends at
+fork levels).
 """
 
 from __future__ import annotations
@@ -20,11 +26,14 @@ import contextlib
 import io
 import json
 import pathlib
+import sys
 
 from puncgon.cli import main
 from puncgon.triangulation import fan_triangulation
 
 HERE = pathlib.Path(__file__).resolve().parent
+
+HOM_PAIRS = (("dim2", "0-3", "1-0"), ("shift1", "2-4", "0-2"), ("forks", "0|+", "1|+"))
 
 
 def run(argv: list[str]) -> str:
@@ -49,15 +58,41 @@ def cases() -> dict[str, list[str]]:
             out[f"report-n{n}.{ext}"] = report + ["--format", fmt]
         if n == 6:
             out["report-n6-noop.txt"] = report + ["--no-op"]
+    for n in range(5, 9):
+        for label, source, target in HOM_PAIRS:
+            out[f"hom-n{n}-{label}.txt"] = ["hom", "--n", str(n), "--source", source,
+                                           "--target", target, "--basis", "--grid"]
     return out
 
 
-def record():
+def _keep_or_add(path: pathlib.Path, text: str) -> bool:
+    """Write text to a missing file; report whether the file now holds it."""
+    if not path.exists():
+        path.write_text(text, encoding="utf-8", newline="")
+        return True
+    return path.read_bytes() == text.encode("utf-8")
+
+
+def record() -> list[str]:
+    """Record every case; return the names of files that would change."""
     manifest = cases()
-    for name, argv in manifest.items():
-        (HERE / name).write_text(run(argv), newline="")
-    (HERE / "MANIFEST.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    changed = [name for name, argv in manifest.items() if not _keep_or_add(HERE / name, run(argv))]
+    path = HERE / "MANIFEST.json"
+    if path.exists():
+        old = json.loads(path.read_text())
+        if any(manifest.get(name) != argv for name, argv in old.items()):
+            changed.append(path.name)
+        else:
+            path.write_text(json.dumps(old | manifest, indent=2) + "\n")
+    else:
+        path.write_text(json.dumps(manifest, indent=2) + "\n")
+    return changed
 
 
 if __name__ == "__main__":
-    record()
+    changed = record()
+    if changed:
+        print("recorded output would change, files left as they are:", file=sys.stderr)
+        for name in changed:
+            print(f"  {name}", file=sys.stderr)
+        sys.exit(1)

@@ -13,12 +13,11 @@ import heapq
 import random
 from fractions import Fraction
 
-from puncgon.geometry import TaggedEdge, edge_sort_key, grid_level
+from puncgon.geometry import TaggedEdge, _require_same_n, edge_sort_key, grid_level
 from puncgon.linalg import FractionElim
 from puncgon.mesh import (
     ZqVertex,
     _relative_column,
-    _require_same_n,
     _zq_level,
     compose,
     morphism_space,

@@ -10,6 +10,7 @@ from puncgon.geometry import (
     tau,
 )
 from puncgon.mesh import (
+    HomSweep,
     MeshClosureError,
     build_window,
     cluster_shifts,
@@ -22,6 +23,7 @@ from puncgon.mesh import (
     morphism_space,
     move_morphism,
     zero_morphism,
+    zq_tau,
     _relative_column,
     _sweep,
 )
@@ -197,6 +199,60 @@ def test_knitting_consistency(n):
         for c in range(0, 2 * n + 2):
             for lv in range(1, n + 1):
                 assert knit[(c, lv)] == sweep.dim((c, lv)), (n, j, c, lv)
+
+
+def _unit_paths(sweep, x, sp):
+    """Candidate path of every incoming-sum coordinate of x, by coordinate."""
+    out = []
+    for y in sp.ins:
+        out.extend(p + (x,) for p in sweep.space(y).paths)
+    return out
+
+
+def _mesh_rows(sweep, x, sp):
+    """Image of each basis unit of tau x in the incoming sum of x."""
+    t = zq_tau(x)
+    rows = []
+    for u in range(sweep.dim(t)):
+        row = []
+        for y in sp.ins:
+            ysp = sweep.space(y)
+            col = ysp.offs[ysp.ins.index(t)] + u if t in ysp.ins else None
+            row.extend(0 if col is None else r[col] for r in ysp.proj)
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_sweep_spaces_are_greedy_lex_bases(n):
+    """Each stored space is the quotient of the incoming sum by the tau x
+    mesh rows, with the lexicographically first independent paths as basis
+    and each path projected onto basis paths sorting before it.  These
+    properties, with the knitted dimension, fix basis and projection."""
+    last = 2 * n + 1
+    for level in range(1, n + 1):
+        knit = hom_dims_by_knitting(n, level, last)
+        sweep = HomSweep(n, level)
+        sweep.ensure(last)
+        for c in range(last + 1):
+            for j in range(1, n + 1):
+                x = (c, j)
+                sp = sweep.space(x)
+                assert sp.dim == knit[x], (n, level, x)
+                assert list(sp.paths) == sorted(set(sp.paths)), (n, level, x)
+                if x == sweep.src or sp.dim == 0:
+                    continue
+                paths = _unit_paths(sweep, x, sp)
+                assert all(v in (-1, 0, 1) for r in sp.proj for v in r), (n, level, x)
+                for col, path in enumerate(paths):
+                    image = [r[col] for r in sp.proj]
+                    if path in sp.paths:
+                        b = sp.paths.index(path)
+                        assert image == [int(r == b) for r in range(sp.dim)], (n, level, x)
+                    else:
+                        assert all(sp.paths[r] < path for r, v in enumerate(image) if v)
+                for row in _mesh_rows(sweep, x, sp):
+                    assert all(sum(a * b for a, b in zip(r, row)) == 0 for r in sp.proj)
 
 
 # ---------------------------------------------------------------------------
