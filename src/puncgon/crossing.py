@@ -15,6 +15,19 @@ strictly interleave a fixed lift of the other:
 
 Shared lifted endpoints never count, and tags are ignored outside the
 central-central case.  Values always lie in {0, 1, 2}.
+
+Each window is shorter than n, so at most one translate can start inside
+it, and :func:`crossing_number` counts in closed form.  With
+w = (end - start) mod n the window width of a plain edge, s = (c - a)
+mod n and t = (a - c) mod n:
+
+  plain-plain      [0 < s < w_m and s + w_o > w_m]
+                   + [0 < t < w_o and w_o - t < w_m]
+  central-plain    [0 < (ray - lo) mod n < w]
+
+The first bracket is the translate of the other edge's chord that starts
+inside m's window and ends beyond it, the second the one that starts
+before m's window and ends inside it.
 """
 
 from __future__ import annotations
@@ -48,23 +61,17 @@ def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
     """Minimal number of interior intersection points of two tagged edges."""
     _require_same_n(m, other)
     n = m.n
-    if m.is_central and other.is_central:
-        return 1 if (m.start != other.start and m.tag != other.tag) else 0
-    if m.is_central or other.is_central:
-        ray = m if m.is_central else other
-        chord = lift(other if m.is_central else m)
-        # the ray translate strictly inside the chord window, if any
-        off = (ray.start - chord.lo) % n
-        return 1 if 0 < off < chord.hi - chord.lo else 0
-    chord_m, chord_other = lift(m), lift(other)
-    a, b = chord_m.lo, chord_m.hi
-    c0, d0 = chord_other.lo, chord_other.hi
-    count = 0
-    for k in range(-2, 3):
-        c, d = c0 + k * n, d0 + k * n
-        if a < c < b < d or c < a < d < b:
-            count += 1
-    return count
+    a, c = m.start, other.start
+    if m.end == a:
+        if other.end == c:
+            return 1 if (a != c and m.tag != other.tag) else 0
+        return 1 if 0 < (a - c) % n < (other.end - c) % n else 0
+    w_m = (m.end - a) % n
+    if other.end == c:
+        return 1 if 0 < (c - a) % n < w_m else 0
+    w_o = (other.end - c) % n
+    s, t = (c - a) % n, (a - c) % n
+    return (0 < s < w_m and s + w_o > w_m) + (0 < t < w_o and w_o - t < w_m)
 
 
 @cache

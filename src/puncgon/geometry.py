@@ -99,8 +99,11 @@ class TaggedEdge:
 
     @property
     def span(self) -> int:
-        """|delta| of the defining boundary path (n + 1 for central edges)."""
-        return delta_len(self.n, self.start, self.end)
+        """|delta| of the defining boundary path (n + 1 for central edges);
+        :func:`delta_len` on fields that construction already validated."""
+        if self.start == self.end:
+            return self.n + 1
+        return (self.end - self.start - 1) % self.n + 2
 
     @classmethod
     def plain(cls, n: int, a: Vertex, b: Vertex) -> "TaggedEdge":

@@ -313,9 +313,14 @@ class HomSweep:
         if path[0] != self.src:
             raise ValueError(f"path must start at the source vertex {self.src}")
         self.ensure(max(v[0] for v in path))
-        coords = [Fraction(1)]
-        prev = self.src
-        for v in path[1:]:
+        return self._walk(self.src, [Fraction(1)], path[1:])
+
+    def _walk(
+        self, prev: ZqVertex, coords: list[Fraction], steps: tuple[ZqVertex, ...]
+    ) -> tuple[ZqVertex, list[Fraction]]:
+        """Continue the coordinates of a path class ending at ``prev`` along
+        the arrows to ``steps``."""
+        for v in steps:
             sp = self.space(v)
             if sp.dim == 0:
                 return v, []
@@ -374,9 +379,17 @@ def cluster_shifts(m: TaggedEdge, other: TaggedEdge) -> list[int]:
 
 
 def hom_dim_cluster(m: TaggedEdge, other: TaggedEdge) -> int:
-    """Total Hom dimension in the rotation quotient: sum over shifts."""
+    """Total Hom dimension in the rotation quotient: sum over shifts.
+
+    The two shifts of :func:`cluster_shifts` put ``other`` at the relative
+    columns d and d + n, d its column offset mod n; one sweep serves both."""
     _require_same_n(m, other)
-    return sum(hom_dim_mesh(m, other, k) for k in cluster_shifts(m, other))
+    n = m.n
+    cm, co = grid_column(m), grid_column(other)
+    sweep = _sweep(n, grid_level(m))
+    d = (co - cm) % n
+    k = (cm + d - co) // n
+    return sweep.dim((d, _zq_level(other, k))) + sweep.dim((d + n, _zq_level(other, k + 1)))
 
 
 def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
@@ -580,7 +593,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
 
     The representative of g is translated by the rotation power matching
     f's shift, concatenated after f's representative, and reduced modulo
-    the mesh relations into the stored basis of Hom(M, P).
+    the mesh relations into the stored basis of Hom(M, P).  Only g's
+    arrows are walked: f's representative is a stored basis path.
     """
     if f.target != g.source:
         raise ValueError(
@@ -596,15 +610,19 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     for (k, i), a in f.coeffs.items():
         if not a:
             continue
-        path_f = space_f._rel[k][i]
+        # f's representative is the i-th basis path at its end vertex, so
+        # it reduces to the i-th unit vector there without a walk
+        end = space_f._rel[k][i][-1]
+        coords_f = [_ZERO] * sweep.space(end).dim
+        coords_f[i] = _ONE
         off = _relative_column(m, nn, k)
         flip = (k * n) % 2 == 1
         for (l, j), b in g.coeffs.items():
             if not b:
                 continue
             shifted = _translate_path(space_g._rel[l][j], off, n, flip)
-            assert shifted[0] == path_f[-1]
-            _, coords = sweep.reduce_path(path_f + shifted[1:])
+            assert shifted[0] == end
+            _, coords = sweep._walk(end, coords_f, shifted[1:])
             for idx, c in enumerate(coords):
                 if c:
                     key = (k + l, idx)

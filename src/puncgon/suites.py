@@ -100,10 +100,11 @@ def suite_lemma2(n: int) -> SuiteResult:
     edges = enumerate_tagged_edges(n)
     failures = []
     moves = {m: set(elementary_moves(m)) for m in edges}
+    back = [(other, moves[tau(other)]) for other in edges]
     for m in edges:
-        for other in edges:
+        for other, tau_moves in back:
             forward = other in moves[m]
-            backward = m in moves[tau(other)]
+            backward = m in tau_moves
             if forward != backward:
                 failures.append([str(m), str(other)])
     return SuiteResult(

@@ -39,6 +39,11 @@ def test_ext1_rejects_unknown_method():
     m = TaggedEdge(5, 0, 2)
     with pytest.raises(ValueError):
         ext1_dim(m, m, method="float")
+    message = "unknown method 'bogus', expected 'closed' or 'mesh'"
+    with pytest.raises(ValueError, match=message):
+        ext1_dim(m, m, method="bogus")
+    with pytest.raises(ValueError, match=message):
+        verify_theorem2(5, method="bogus")
 
 
 def test_verify_theorem2_small():

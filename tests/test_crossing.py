@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from puncgon.crossing import (
@@ -28,12 +30,36 @@ def test_plain_plain_examples():
     assert lift_scan_crossing(TaggedEdge(4, 1, 3), TaggedEdge(4, 3, 1)) == 0
 
 
-@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("n", range(3, 17))
 def test_matches_wide_scan_oracle(n):
     edges = enumerate_tagged_edges(n)
     for m in edges:
         for other in edges:
-            assert crossing_number(m, other) == lift_scan_crossing(m, other)
+            assert crossing_number(m, other) == lift_scan_crossing(m, other), (m, other)
+
+
+def _random_edge(rng, n):
+    a = rng.randrange(n)
+    if rng.randrange(n) == 0:
+        return TaggedEdge.central(n, a, rng.choice((1, -1)))
+    return TaggedEdge(n, a, (a + rng.randrange(2, n)) % n)
+
+
+@pytest.mark.parametrize("n", range(17, 41))
+def test_random_pairs_beyond_exhaustive_range(n):
+    """Seeded pairs at sizes too large to scan exhaustively: the closed
+    form agrees with the lift oracle, is symmetric and lies in {0, 1, 2}.
+    In every other pair the second edge is a chord ending where the first
+    ends, where an off-by-one in the window bounds shows."""
+    rng = random.Random(f"crossing:{n}")
+    for i in range(600):
+        m, other = _random_edge(rng, n), _random_edge(rng, n)
+        if i % 2:
+            other = TaggedEdge(n, (m.end - rng.randrange(2, n)) % n, m.end)
+        value = crossing_number(m, other)
+        assert value == lift_scan_crossing(m, other), (m, other)
+        assert value == crossing_number(other, m), (m, other)
+        assert value in (0, 1, 2), (m, other)
 
 
 def test_n3_table_matches_case_rules():

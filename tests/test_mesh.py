@@ -228,7 +228,9 @@ def test_sweep_spaces_are_greedy_lex_bases(n):
     """Each stored space is the quotient of the incoming sum by the tau x
     mesh rows, with the lexicographically first independent paths as basis
     and each path projected onto basis paths sorting before it.  These
-    properties, with the knitted dimension, fix basis and projection."""
+    properties, with the knitted dimension, fix basis and projection.
+    The i-th basis path also reduces to the i-th unit vector, which lets
+    compose start after f's representative without walking it."""
     last = 2 * n + 1
     for level in range(1, n + 1):
         knit = hom_dims_by_knitting(n, level, last)
@@ -240,6 +242,9 @@ def test_sweep_spaces_are_greedy_lex_bases(n):
                 sp = sweep.space(x)
                 assert sp.dim == knit[x], (n, level, x)
                 assert list(sp.paths) == sorted(set(sp.paths)), (n, level, x)
+                for i, path in enumerate(sp.paths):
+                    unit = [int(r == i) for r in range(sp.dim)]
+                    assert sweep.reduce_path(path) == (x, unit), (n, level, path)
                 if x == sweep.src or sp.dim == 0:
                     continue
                 paths = _unit_paths(sweep, x, sp)
