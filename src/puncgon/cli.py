@@ -25,6 +25,7 @@ from .tilted import (
     vanishing_paths_report,
 )
 from .triangulation import (
+    DEFAULT_LEMMA3_BOUND,
     Triangulation,
     enumerate_triangulations,
     exchange_sides,
@@ -70,6 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated suite names, or 'all': " + ", ".join(sorted(SUITES)),
     )
     sp.add_argument("--method", choices=("closed", "mesh"), default="closed")
+    sp.add_argument("--max-enum", type=int, default=DEFAULT_LEMMA3_BOUND, help="lemma3 size bound")
 
     sp = sub.add_parser("triangulations", help="enumerate all triangulations")
     common(sp)
@@ -161,7 +163,7 @@ def cmd_ext(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    results = run_suites(names, args.n, method=args.method)
+    results = run_suites(names, args.n, method=args.method, max_enum=args.max_enum)
     ok = all(r.passed for r in results)
     if args.format == "json":
         print(

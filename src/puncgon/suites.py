@@ -19,7 +19,7 @@ from .geometry import (
     tau_power,
 )
 from .mesh import hom_dim_closed_form, hom_dim_cluster
-from .triangulation import maximal_noncrossing_sets
+from .triangulation import DEFAULT_LEMMA3_BOUND, _require_bound, maximal_noncrossing_sets
 
 # Hom dimensions out of the edge at grid position (1, 3) for n = 6, as a
 # map level -> values at columns 1..6.  This fixes the worked reference
@@ -116,8 +116,9 @@ def suite_lemma2(n: int) -> SuiteResult:
     )
 
 
-def suite_lemma3(n: int) -> SuiteResult:
-    """Every maximal non-crossing set has exactly n elements."""
+def suite_lemma3(n: int, max_n: int = DEFAULT_LEMMA3_BOUND) -> SuiteResult:
+    """Every maximal non-crossing set has exactly n elements (n <= max_n)."""
+    _require_bound(n, max_n)
     sets = maximal_noncrossing_sets(n)
     sizes = sorted({len(s) for s in sets})
     ok = sizes == [n]
@@ -193,13 +194,12 @@ SUITES = {
 }
 
 
-def run_suites(names: list[str], n: int, method: str = "closed") -> list[SuiteResult]:
+def run_suites(names: list[str], n: int, method: str = "closed",
+               max_enum: int = DEFAULT_LEMMA3_BOUND) -> list[SuiteResult]:
+    options = {"theorem2": {"method": method}, "lemma3": {"max_n": max_enum}}
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        if name == "theorem2":
-            results.append(suite_theorem2(n, method=method))
-        else:
-            results.append(SUITES[name](n))
+        results.append(SUITES[name](n, **options.get(name, {})))
     return results

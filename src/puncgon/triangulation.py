@@ -25,6 +25,7 @@ from .linalg import FractionElim
 from .mesh import Morphism, compose, morphism_space
 
 DEFAULT_ENUMERATION_BOUND = 6
+DEFAULT_LEMMA3_BOUND = 10
 
 
 class ExchangeError(RuntimeError):
@@ -135,29 +136,44 @@ def fan_triangulation(n: int, base: int = 0) -> Triangulation:
 
 
 def maximal_noncrossing_sets(n: int) -> list[frozenset[TaggedEdge]]:
-    """Every maximal pairwise non-crossing set, of whatever size.
+    """Every maximal pairwise non-crossing set, of whatever size, in
+    lexicographic order of the sets' sorted canonical edge indices.
 
-    Bron-Kerbosch without pivoting over the compatibility graph, on
-    bitsets of the canonical edge indices; taking the lowest candidate
-    first emits the sets in lexicographic order of those indices.
+    Bron-Kerbosch on bitsets of those indices, with the Tomita pivot: each
+    node branches only on P minus N(u), for the u in P | X maximising
+    |P & N(u)|.  Sorting the leaves once fixes the order.
     """
     edges = _canonical_bits(n)[0]
-    masks = [_compat_mask(e) for e in edges]
-    out: list[frozenset[TaggedEdge]] = []
+    nbrs = [_compat_mask(e) & ~(1 << i) for i, e in enumerate(edges)]
+    leaves: list[tuple[int, ...]] = []
 
-    def extend(chosen: list[int], candidates: int, excluded: int):
+    def extend(chosen: tuple[int, ...], candidates: int, excluded: int):
         if not candidates and not excluded:
-            out.append(frozenset(edges[i] for i in chosen))
+            leaves.append(tuple(sorted(chosen)))
             return
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            bit = 1 << v
-            extend(chosen + [v], candidates & masks[v] & ~bit, excluded & masks[v])
-            candidates &= ~bit
-            excluded |= bit
+        pool, best, branch = candidates | excluded, -1, 0
+        while pool:
+            low = pool & -pool
+            kept = candidates & nbrs[low.bit_length() - 1]
+            if kept.bit_count() > best:
+                best, branch = kept.bit_count(), candidates & ~kept
+            pool ^= low
+        while branch:
+            v = (branch & -branch).bit_length() - 1
+            extend(chosen + (v,), candidates & nbrs[v], excluded & nbrs[v])
+            candidates ^= 1 << v
+            excluded |= 1 << v
+            branch ^= 1 << v
 
-    extend([], (1 << len(edges)) - 1, 0)
-    return out
+    extend((), (1 << len(edges)) - 1, 0)
+    leaves.sort()
+    return [frozenset(edges[i] for i in leaf) for leaf in leaves]
+
+
+def _require_bound(n: int, max_n: int) -> None:
+    if n > max_n:
+        raise ValueError(f"enumeration for n={n} exceeds the configured bound {max_n}; "
+                         "pass a larger max_n (--max-enum) to override")
 
 
 def enumerate_triangulations(
@@ -165,11 +181,7 @@ def enumerate_triangulations(
 ) -> list[Triangulation]:
     """All triangulations, in deterministic order.  The search is
     exponential; n above ``max_n`` is refused unless the bound is raised."""
-    if n > max_n:
-        raise ValueError(
-            f"enumeration for n={n} exceeds the configured bound {max_n}; "
-            "raise max_n to override"
-        )
+    _require_bound(n, max_n)
     return [Triangulation(n, tuple(s)) for s in maximal_noncrossing_sets(n)]
 
 

@@ -17,7 +17,9 @@ vertex 0 (JSON and text), then ``report`` in JSON, text and DOT on the
 walk's final triangulation, plus one ``--no-op`` report.  Then, for
 n = 5..8, ``hom --basis --grid`` on three pairs: 0-3 -> 1-0 (dimension
 2), 2-4 -> 0-2 (a component at shift 1) and 0|+ -> 1|+ (both ends at
-fork levels).
+fork levels).  Then ``triangulations`` as text for n = 3..8 and as JSON
+for n = 3..6, and ``verify --suite lemma3`` for n = 3..9: these pin the
+enumeration's sets and their order.
 """
 
 from __future__ import annotations
@@ -62,6 +64,13 @@ def cases() -> dict[str, list[str]]:
         for label, source, target in HOM_PAIRS:
             out[f"hom-n{n}-{label}.txt"] = ["hom", "--n", str(n), "--source", source,
                                            "--target", target, "--basis", "--grid"]
+    for n in range(3, 9):
+        tris = ["triangulations", "--n", str(n), "--max-enum", str(n)]
+        out[f"triangulations-n{n}.txt"] = tris
+        if n <= 6:
+            out[f"triangulations-n{n}.json"] = tris + ["--format", "json"]
+    for n in range(3, 10):
+        out[f"verify-lemma3-n{n}.txt"] = ["verify", "--n", str(n), "--suite", "lemma3"]
     return out
 
 

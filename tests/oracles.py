@@ -13,7 +13,14 @@ import heapq
 import random
 from fractions import Fraction
 
-from puncgon.geometry import TaggedEdge, _require_same_n, edge_sort_key, grid_level
+from puncgon.crossing import crossing_number
+from puncgon.geometry import (
+    TaggedEdge,
+    _require_same_n,
+    edge_sort_key,
+    enumerate_tagged_edges,
+    grid_level,
+)
 from puncgon.linalg import FractionElim
 from puncgon.mesh import (
     ZqVertex,
@@ -56,6 +63,30 @@ def lift_scan_crossing(m: TaggedEdge, other: TaggedEdge, width: int = 6) -> int:
         if separates and not shared:
             hits += 1
     return hits
+
+
+def lowest_first_maximal_sets(n: int) -> list[frozenset[TaggedEdge]]:
+    """Every maximal non-crossing set, by unpivoted Bron-Kerbosch on sets
+    of indices into :func:`enumerate_tagged_edges`, with the adjacency read
+    from ``crossing_number``.  Branching on the lowest candidate first
+    emits the sets in lexicographic order of their sorted indices."""
+    edges = enumerate_tagged_edges(n)
+    nbrs = [
+        {j for j, f in enumerate(edges) if j != i and crossing_number(e, f) == 0}
+        for i, e in enumerate(edges)
+    ]
+    out = []
+
+    def extend(chosen, candidates, excluded):
+        if not candidates and not excluded:
+            out.append(frozenset(edges[i] for i in chosen))
+        for v in sorted(candidates):
+            extend(chosen + [v], candidates & nbrs[v], excluded & nbrs[v])
+            candidates = candidates - {v}
+            excluded = excluded | {v}
+
+    extend([], set(range(len(edges))), set())
+    return out
 
 
 def n3_case_rule_crossing(m: TaggedEdge, other: TaggedEdge) -> int:

@@ -115,6 +115,15 @@ def test_triangulations_bound(capsys):
     assert code == 0
 
 
+def test_verify_lemma3_bound(capsys):
+    # refused before the search starts: exit 2, nothing on stdout
+    for argv in (("--n", "11"), ("--n", "4", "--max-enum", "3")):
+        code, out, err = run(capsys, "verify", *argv, "--suite", "lemma3")
+        assert code == 2 and out == "" and "--max-enum" in err
+    code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "lemma3", "--max-enum", "4")
+    assert code == 0 and "50 maximal non-crossing sets" in out
+
+
 def test_flipwalk_involution_script(capsys):
     t = "3-1,3|+,1-3,1|+"
     code, out, _ = run(

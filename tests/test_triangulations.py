@@ -7,6 +7,7 @@ import pytest
 
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
+from puncgon.suites import suite_lemma3
 from puncgon.triangulation import (
     ExchangeError,
     Triangulation,
@@ -19,7 +20,7 @@ from puncgon.triangulation import (
     quiver_of_triangulation,
 )
 
-from oracles import admits_surjections, minimal_approximation
+from oracles import admits_surjections, lowest_first_maximal_sets, minimal_approximation
 
 
 def type_d_cluster_count(n: int) -> int:
@@ -67,16 +68,24 @@ def test_duplicate_edge_rejected():
         Triangulation(5, fan.edges + (TaggedEdge(5, 0, 2),))
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 10))
 def test_counts_against_formula(n):
     sets = maximal_noncrossing_sets(n)
     assert len(sets) == type_d_cluster_count(n)
     assert all(len(s) == n for s in sets)
+    if n == 9:
+        return  # validating 35,750 triangulations twice would add about 3 s
     tris = enumerate_triangulations(n, max_n=8)
     assert [set(t.edges) for t in tris] == sets
     # deterministic order
     again = enumerate_triangulations(n, max_n=8)
     assert [str(t) for t in tris] == [str(t) for t in again]
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_pivoted_search_keeps_lowest_first_order(n):
+    # the same sets, in the same order, as the unpivoted lowest-first search
+    assert maximal_noncrossing_sets(n) == lowest_first_maximal_sets(n)
 
 
 def test_n3_shape_classes():
@@ -104,8 +113,12 @@ def test_n3_shape_classes():
 
 
 def test_enumeration_bound():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n=7 exceeds the configured bound 6"):
         enumerate_triangulations(7)
+    with pytest.raises(ValueError, match="n=11 exceeds the configured bound 10"):
+        suite_lemma3(11)
+    with pytest.raises(ValueError, match="bound 3"):
+        suite_lemma3(4, max_n=3)
     # explicit override accepted
     assert len(enumerate_triangulations(4, max_n=7)) == 50
 
