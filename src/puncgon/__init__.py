@@ -12,31 +12,23 @@ from .geometry import (
     pos,
     pos_inv,
     tau,
-    tau_inv,
     tau_power,
 )
 from .crossing import (
     CrossingTable,
-    LiftChord,
     compatible,
     crossing_matrix,
     crossing_number,
-    lift,
 )
 from .mesh import (
     MeshVertex,
-    MeshWindow,
     Morphism,
     MorphismSpace,
     PathClass,
-    build_window,
     compose,
     hom_dim_closed_form,
     hom_dim_cluster,
-    hom_dim_mesh,
-    identity_morphism,
     morphism_space,
-    move_morphism,
 )
 from .clusterops import ArTriangle, TheoremReport, ar_triangle, ext1_dim, verify_theorem2
 from .triangulation import (

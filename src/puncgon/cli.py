@@ -25,6 +25,7 @@ from .tilted import (
     vanishing_paths_report,
 )
 from .triangulation import (
+    DEFAULT_ENUMERATION_BOUND,
     DEFAULT_LEMMA3_BOUND,
     Triangulation,
     enumerate_triangulations,
@@ -75,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("triangulations", help="enumerate all triangulations")
     common(sp)
-    sp.add_argument("--max-enum", type=int, default=6, help="enumeration size bound")
+    sp.add_argument("--max-enum", type=int, default=DEFAULT_ENUMERATION_BOUND,
+                    help="enumeration size bound")
 
     sp = sub.add_parser("flipwalk", help="apply a sequence of flips")
     common(sp)

@@ -38,25 +38,6 @@ from functools import cache
 from .geometry import TaggedEdge, _require_same_n, enumerate_tagged_edges
 
 
-@dataclass(frozen=True)
-class LiftChord:
-    """Canonical lift of a tagged edge to the universal-cover boundary line.
-
-    Plain edges give a chord with lo + 2 <= hi <= lo + n - 1; central
-    edges give a ray family {lo + kn} with hi unused.
-    """
-
-    lo: int
-    hi: int | None
-    kind: str  # "chord" or "ray"
-
-
-def lift(e: TaggedEdge) -> LiftChord:
-    if e.is_central:
-        return LiftChord(e.start, None, "ray")
-    return LiftChord(e.start, e.start + ((e.end - e.start) % e.n), "chord")
-
-
 def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
     """Minimal number of interior intersection points of two tagged edges."""
     _require_same_n(m, other)

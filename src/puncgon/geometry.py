@@ -106,10 +106,6 @@ class TaggedEdge:
         return (self.end - self.start - 1) % self.n + 2
 
     @classmethod
-    def plain(cls, n: int, a: Vertex, b: Vertex) -> "TaggedEdge":
-        return cls(n, a, b, 1)
-
-    @classmethod
     def central(cls, n: int, a: Vertex, tag: int) -> "TaggedEdge":
         return cls(n, a, a, tag)
 
@@ -205,13 +201,6 @@ def tau(m: TaggedEdge) -> TaggedEdge:
     if m.is_central:
         return TaggedEdge.central(n, cw_neighbor(n, m.start), -m.tag)
     return TaggedEdge(n, cw_neighbor(n, m.start), cw_neighbor(n, m.end), 1)
-
-
-def tau_inv(m: TaggedEdge) -> TaggedEdge:
-    n = m.n
-    if m.is_central:
-        return TaggedEdge.central(n, ccw_neighbor(n, m.start), -m.tag)
-    return TaggedEdge(n, ccw_neighbor(n, m.start), ccw_neighbor(n, m.end), 1)
 
 
 def tau_power(m: TaggedEdge, k: int) -> TaggedEdge:

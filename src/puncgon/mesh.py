@@ -5,7 +5,7 @@ the fan triangulation at vertex 0, i.e. the edges whose start vertex is
 0; an elementary move M -> N gives an arrow (k, M) -> (k, N) unless N
 lies in the fan with M outside it, in which case the arrow is
 (k, M) -> (k+1, N).  This quiver is a stable translation quiver: it is
-the repetition quiver of the linear type-D_n orientation
+the repetition quiver ZD_n (Happel 1988) of the linear orientation
 
     1 -> 2 -> ... -> (n-2) -> {n-1, n}
 
@@ -20,7 +20,7 @@ shifts columns by -1, and the mesh ending at x is the set of 2-paths
 from tau(x) through the in-arrows of x.
 
 Morphism spaces are spaces of paths modulo the mesh ideal (all
-mesh-relation coefficients are +1).  ``hom_dim_mesh`` computes the
+mesh-relation coefficients are +1).  :class:`HomSweep` computes the
 quotient by eliminating column by column (each vertex keeps an explicit
 reduced basis of path classes), which avoids the exponential path blowup
 on wide strips.  The test suite certifies it against a literal oracle
@@ -43,7 +43,6 @@ from .geometry import (
     _fork_level,
     _fork_tag,
     _require_same_n,
-    elementary_moves,
     grid_column,
     grid_level,
 )
@@ -54,21 +53,6 @@ ZqVertex = tuple[int, int]  # (column, level)
 
 # ---------------------------------------------------------------------------
 # the repetition quiver in (column, level) coordinates
-
-
-def zq_out_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
-    c, j = v
-    out: list[ZqVertex] = []
-    if j < n - 2:
-        out.append((c, j + 1))
-    elif j == n - 2:
-        out.append((c, n - 1))
-        out.append((c, n))
-    if 2 <= j <= n - 2:
-        out.append((c + 1, j - 1))
-    elif j >= n - 1:
-        out.append((c + 1, n - 2))
-    return out
 
 
 def zq_in_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
@@ -128,57 +112,6 @@ def mesh_vertex_at(n: int, v: ZqVertex) -> MeshVertex:
     else:
         edge = TaggedEdge.central(n, a, _fork_tag(n, j, c))
     return MeshVertex(shift, edge)
-
-
-@dataclass(frozen=True)
-class MeshWindow:
-    """Finite column strip of the repetition quiver."""
-
-    n: int
-    lo: int
-    hi: int
-
-    def vertices(self) -> list[MeshVertex]:
-        return [
-            mesh_vertex_at(self.n, (c, j))
-            for c in range(self.lo, self.hi + 1)
-            for j in range(1, self.n + 1)
-        ]
-
-    def contains(self, v: ZqVertex) -> bool:
-        return self.lo <= v[0] <= self.hi and 1 <= v[1] <= self.n
-
-    def arrows(self) -> list[tuple[MeshVertex, MeshVertex]]:
-        out = []
-        for c in range(self.lo, self.hi + 1):
-            for j in range(1, self.n + 1):
-                src = (c, j)
-                for tgt in zq_out_arrows(self.n, src):
-                    if self.contains(tgt):
-                        out.append((mesh_vertex_at(self.n, src), mesh_vertex_at(self.n, tgt)))
-        return out
-
-    def tau(self, v: MeshVertex) -> MeshVertex | None:
-        img = zq_tau(v.zq)
-        return mesh_vertex_at(self.n, img) if self.contains(img) else None
-
-    def mesh(self, v: MeshVertex) -> tuple[MeshVertex, list[MeshVertex]] | None:
-        """The mesh ending at v: (tau v, middle terms), or None at the border."""
-        t = self.tau(v)
-        if t is None:
-            return None
-        middles = [mesh_vertex_at(self.n, y) for y in zq_in_arrows(self.n, v.zq)]
-        if any(not self.contains(y.zq) for y in middles):
-            return None
-        return t, middles
-
-
-def build_window(n: int, lo: int, hi: int) -> MeshWindow:
-    if n < 3:
-        raise ValueError(f"polygon size must be >= 3, got n={n}")
-    if hi < lo:
-        raise ValueError(f"empty column range [{lo}, {hi}]")
-    return MeshWindow(n, lo, hi)
 
 
 class MeshClosureError(RuntimeError):
@@ -308,13 +241,6 @@ class HomSweep:
             len(basis), tuple(paths[order[b]] for b in basis), tuple(ins), tuple(offs), proj
         )
 
-    def reduce_path(self, path: tuple[ZqVertex, ...]) -> tuple[ZqVertex, list[Fraction]]:
-        """Coordinates of a path class in the stored basis at its endpoint."""
-        if path[0] != self.src:
-            raise ValueError(f"path must start at the source vertex {self.src}")
-        self.ensure(max(v[0] for v in path))
-        return self._walk(self.src, [Fraction(1)], path[1:])
-
     def _walk(
         self, prev: ZqVertex, coords: list[Fraction], steps: tuple[ZqVertex, ...]
     ) -> tuple[ZqVertex, list[Fraction]]:
@@ -349,16 +275,6 @@ def _sweep(n: int, src_level: int) -> HomSweep:
 
 def _relative_column(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
     return grid_column(other) + shift * m.n - grid_column(m)
-
-
-def hom_dim_mesh(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
-    """Dimension of the path space from (0, m) to (shift, other) modulo the
-    mesh ideal."""
-    _require_same_n(m, other)
-    dc = _relative_column(m, other, shift)
-    if dc < 0:
-        return 0
-    return _sweep(m.n, grid_level(m)).dim((dc, _zq_level(other, shift)))
 
 
 def cluster_shifts(m: TaggedEdge, other: TaggedEdge) -> list[int]:
@@ -538,14 +454,6 @@ class Morphism:
             and self.normalized() == other.normalized()
         )
 
-    def plus(self, other: "Morphism") -> "Morphism":
-        if (self.source, self.target) != (other.source, other.target):
-            raise ValueError("cannot add morphisms between different objects")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
-        return Morphism(self.source, self.target, out)
-
     def __str__(self) -> str:
         if self.is_zero():
             return f"0: {self.source} -> {self.target}"
@@ -553,28 +461,8 @@ class Morphism:
         return f"{' + '.join(parts)}: {self.source} -> {self.target}"
 
 
-def identity_morphism(m: TaggedEdge) -> Morphism:
-    space = morphism_space(m, m)
-    assert space.dim(0) >= 1
-    return space.basis_element(0, 0)
-
-
 def zero_morphism(source: TaggedEdge, target: TaggedEdge) -> Morphism:
     return Morphism(source, target, {})
-
-
-def move_morphism(src: TaggedEdge, dst: TaggedEdge) -> Morphism:
-    """The morphism of a single elementary move src -> dst."""
-    if dst not in elementary_moves(src):
-        raise ValueError(f"no elementary move {src} -> {dst}")
-    n = src.n
-    cs, cd = grid_column(src), grid_column(dst)
-    shift = 1 if cd < cs else 0  # the move wraps back to the fan column
-    sweep = _sweep(n, grid_level(src))
-    dc = _relative_column(src, dst, shift)
-    _, coords = sweep.reduce_path(((0, grid_level(src)), (dc, _zq_level(dst, shift))))
-    out = {(shift, i): c for i, c in enumerate(coords) if c}
-    return Morphism(src, dst, out)
 
 
 def _translate_path(path, off: int, n: int, flip_forks: bool):

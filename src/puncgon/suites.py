@@ -196,10 +196,12 @@ SUITES = {
 
 def run_suites(names: list[str], n: int, method: str = "closed",
                max_enum: int = DEFAULT_LEMMA3_BOUND) -> list[SuiteResult]:
-    options = {"theorem2": {"method": method}, "lemma3": {"max_n": max_enum}}
-    results = []
+    """Run the named suites in order.  Every name, and the lemma3 bound,
+    is checked before the first suite runs."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-        results.append(SUITES[name](n, **options.get(name, {})))
-    return results
+    if "lemma3" in names:
+        _require_bound(n, max_enum)
+    options = {"theorem2": {"method": method}, "lemma3": {"max_n": max_enum}}
+    return [SUITES[name](n, **options.get(name, {})) for name in names]

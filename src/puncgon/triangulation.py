@@ -314,14 +314,9 @@ class QuiverPresentation:
 
     vertices: tuple[TaggedEdge, ...]
     arrows: tuple[tuple[int, int, int], ...]  # (source index, target index, multiplicity)
-    vanishing_paths: tuple = ()
 
     def transposed(self) -> "QuiverPresentation":
-        return QuiverPresentation(
-            self.vertices,
-            tuple((b, a, k) for a, b, k in self.arrows),
-            self.vanishing_paths,
-        )
+        return QuiverPresentation(self.vertices, tuple((b, a, k) for a, b, k in self.arrows))
 
 
 def quiver_with_representatives(

@@ -19,7 +19,14 @@ n = 5..8, ``hom --basis --grid`` on three pairs: 0-3 -> 1-0 (dimension
 2), 2-4 -> 0-2 (a component at shift 1) and 0|+ -> 1|+ (both ends at
 fork levels).  Then ``triangulations`` as text for n = 3..8 and as JSON
 for n = 3..6, and ``verify --suite lemma3`` for n = 3..9: these pin the
-enumeration's sets and their order.
+enumeration's sets and their order.  Then, for n = 3..8: ``edges`` and
+``crossings`` in text and JSON; ``ext`` on 0-2 -> 1-0 (crossing 1),
+0|+ -> 1|- (two central edges) and, from n = 4, 0-3 -> 2-1 (crossing 2),
+in JSON with ``--method closed`` and ``--method mesh`` and as text;
+``ar-quiver`` of the category in text, JSON and DOT and with ``--no-op``,
+and of the fan at vertex 0 (``--T``) in text, JSON and DOT and with
+``--no-op``; and ``verify --suite`` for ``theorem2`` with both engines,
+``prop22``, ``lemma2``, ``tau-period`` and ``ar-triangles``.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ from puncgon.triangulation import fan_triangulation
 HERE = pathlib.Path(__file__).resolve().parent
 
 HOM_PAIRS = (("dim2", "0-3", "1-0"), ("shift1", "2-4", "0-2"), ("forks", "0|+", "1|+"))
+EXT_PAIRS = (("cross1", "0-2", "1-0"), ("central", "0|+", "1|-"), ("cross2", "0-3", "2-1"))
+VERIFY_SUITES = ("prop22", "lemma2", "tau-period", "ar-triangles")
 
 
 def run(argv: list[str]) -> str:
@@ -71,6 +80,28 @@ def cases() -> dict[str, list[str]]:
             out[f"triangulations-n{n}.json"] = tris + ["--format", "json"]
     for n in range(3, 10):
         out[f"verify-lemma3-n{n}.txt"] = ["verify", "--n", str(n), "--suite", "lemma3"]
+    for n in range(3, 9):
+        for cmd in ("edges", "crossings"):
+            out[f"{cmd}-n{n}.txt"] = [cmd, "--n", str(n)]
+            out[f"{cmd}-n{n}.json"] = [cmd, "--n", str(n), "--format", "json"]
+        for label, source, target in EXT_PAIRS[: 2 if n == 3 else 3]:
+            ext = ["ext", "--n", str(n), "--source", source, "--target", target]
+            out[f"ext-n{n}-{label}.txt"] = ext
+            for method in ("closed", "mesh"):
+                out[f"ext-n{n}-{label}-{method}.json"] = ext + ["--method", method,
+                                                                 "--format", "json"]
+        fan = ["--T", str(fan_triangulation(n, 0))]
+        for label, extra in (("", []), ("-fan", fan)):
+            ar = ["ar-quiver", "--n", str(n)] + extra
+            out[f"ar-quiver-n{n}{label}.txt"] = ar
+            out[f"ar-quiver-n{n}{label}.json"] = ar + ["--format", "json"]
+            out[f"ar-quiver-n{n}{label}.dot"] = ar + ["--format", "dot"]
+            out[f"ar-quiver-n{n}{label}-noop.json"] = ar + ["--no-op", "--format", "json"]
+        for method in ("closed", "mesh"):
+            out[f"verify-theorem2-{method}-n{n}.txt"] = ["verify", "--n", str(n), "--suite",
+                                                         "theorem2", "--method", method]
+        for suite in VERIFY_SUITES:
+            out[f"verify-{suite}-n{n}.txt"] = ["verify", "--n", str(n), "--suite", suite]
     return out
 
 

@@ -29,9 +29,27 @@ from puncgon.mesh import (
     compose,
     morphism_space,
     zq_in_arrows,
-    zq_out_arrows,
     zq_tau,
 )
+
+
+def zq_out_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
+    """Out-arrows of (column, level) in the repetition quiver ZD_n, stated
+    separately from the package's in-arrows: up one level within the
+    column (level n-2 forks to both n-1 and n), and down one level into
+    the next column (both fork levels drop to n-2)."""
+    c, j = v
+    out: list[ZqVertex] = []
+    if j < n - 2:
+        out.append((c, j + 1))
+    elif j == n - 2:
+        out.append((c, n - 1))
+        out.append((c, n))
+    if 2 <= j <= n - 2:
+        out.append((c + 1, j - 1))
+    elif j >= n - 1:
+        out.append((c + 1, n - 2))
+    return out
 
 
 def lift_scan_crossing(m: TaggedEdge, other: TaggedEdge, width: int = 6) -> int:

@@ -18,9 +18,10 @@ from puncgon.geometry import (
 )
 from puncgon.mesh import (
     MeshVertex,
-    build_window,
     hom_dim_closed_form,
     hom_dim_cluster,
+    mesh_vertex_at,
+    zq_in_arrows,
 )
 from puncgon.tilted import ar_quiver_of_tilted, vanishing_paths_report
 from puncgon.triangulation import (
@@ -97,15 +98,11 @@ def test_criterion_4_translation_and_duality_laws():
 
 def test_criterion_5_ar_triangles_match_mesh_predecessors():
     for n in range(3, 9):
-        window = build_window(n, 0, 2 * n + 1)
-        preds: dict = {}
-        for a, b in window.arrows():
-            preds.setdefault(b.zq, []).append(a.edge)
         for m in enumerate_tagged_edges(n):
             tri = ar_triangle(m)
             assert tri.left == tau(m)
             assert 1 <= len(tri.middle) <= 3
-            mesh_middle = preds.get(MeshVertex(1, m).zq, [])
+            mesh_middle = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, MeshVertex(1, m).zq)]
             assert sorted(map(str, mesh_middle)) == sorted(map(str, tri.middle))
             # case shapes (at n = 3 the span-n case keeps only the radii)
             left = tri.left

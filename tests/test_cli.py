@@ -3,6 +3,7 @@ import json
 import pytest
 
 from puncgon.cli import main
+from puncgon.suites import SUITES, SuiteResult
 
 
 def run(capsys, *argv):
@@ -80,6 +81,23 @@ def test_verify_json(capsys):
 def test_verify_unknown_suite_fails(capsys):
     code, _, err = run(capsys, "verify", "--n", "4", "--suite", "nope")
     assert code == 2 and "unknown suite" in err
+
+
+def test_verify_refuses_the_whole_request_before_any_suite_runs(capsys, monkeypatch):
+    called = []
+
+    def spy(name):
+        def suite(n, **options):
+            called.append(name)
+            return SuiteResult(name, n, True, "spy")
+        return suite
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, spy(name))
+    for suites in ("theorem2,prop22,lemma3", "theorem2,prop22,bogus"):
+        code, out, err = run(capsys, "verify", "--n", "14", "--suite", suites)
+        assert (code, out, called) == (2, "", []), suites
+        assert ("--max-enum" if suites.endswith("lemma3") else "unknown suite") in err
 
 
 def test_invalid_edge_names_condition_e4(capsys):

@@ -8,7 +8,7 @@ from puncgon.geometry import (
     enumerate_tagged_edges,
     tau,
 )
-from puncgon.mesh import build_window, hom_dim_closed_form
+from puncgon.mesh import MeshVertex, hom_dim_closed_form, mesh_vertex_at, zq_in_arrows
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -92,10 +92,6 @@ def test_ar_triangle_case_shapes():
 
 @pytest.mark.parametrize("n", range(3, 7))
 def test_ar_triangle_structure(n):
-    window = build_window(n, 0, 2 * n + 1)
-    arrows_in: dict = {}
-    for a, b in window.arrows():
-        arrows_in.setdefault(b.zq, []).append(a)
     for m in enumerate_tagged_edges(n):
         tri = ar_triangle(m)
         assert tri.left == tau(m)
@@ -106,12 +102,6 @@ def test_ar_triangle_structure(n):
             # irreducible morphism witnesses on both sides of the mesh
             assert hom_dim_closed_form(tri.left, s) >= 1
             assert hom_dim_closed_form(s, m) >= 1
-        # middle summands match the in-arrows of m in a window placing
-        # m away from the border
-        from puncgon.mesh import MeshVertex
-
-        v = MeshVertex(1, m)
-        preds = arrows_in.get(v.zq, [])
-        assert sorted(str(p.edge) for p in preds) == sorted(
-            str(s) for s in tri.middle
-        )
+        # middle summands match the in-arrows of m in the repetition quiver
+        preds = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, MeshVertex(1, m).zq)]
+        assert sorted(map(str, preds)) == sorted(str(s) for s in tri.middle)

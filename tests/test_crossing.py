@@ -8,7 +8,6 @@ from puncgon.crossing import (
     compatible,
     crossing_matrix,
     crossing_number,
-    lift,
 )
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
 
@@ -98,24 +97,6 @@ def test_shared_endpoint_properties(n):
             if not m.is_central and not other.is_central:
                 if {m.start, m.end} & {other.start, other.end}:
                     assert crossing_number(m, other) <= 1
-
-
-def test_lift_chords():
-    c = lift(TaggedEdge(8, 5, 1))
-    assert (c.lo, c.hi, c.kind) == (5, 9, "chord")
-    r = lift(TaggedEdge.central(8, 5, -1))
-    assert (r.lo, r.hi, r.kind) == (5, None, "ray")
-
-
-@pytest.mark.parametrize("n", range(3, 9))
-def test_lift_window_invariant(n):
-    for e in enumerate_tagged_edges(n):
-        c = lift(e)
-        if e.is_central:
-            assert c.kind == "ray" and c.hi is None
-        else:
-            assert c.kind == "chord"
-            assert c.lo + 2 <= c.hi <= c.lo + n - 1
 
 
 def test_matrix_shape_and_symmetry():
