@@ -25,9 +25,12 @@ from .mesh import (
     Morphism,
     MorphismSpace,
     PathClass,
+    RowTargets,
     compose,
     hom_dim_closed_form,
     hom_dim_cluster,
+    hom_row_closed_form,
+    hom_row_cluster,
     morphism_space,
 )
 from .clusterops import ArTriangle, TheoremReport, ar_triangle, ext1_dim, verify_theorem2

@@ -18,7 +18,7 @@ from .clusterops import ext1_dim
 from .crossing import crossing_matrix, crossing_number
 from .geometry import InvalidEdgeError, TaggedEdge, parse_edge_list
 from .mesh import morphism_space
-from .suites import SUITES, run_suites
+from .suites import DEFAULT_PAIRS_BOUND, SUITES, run_suites
 from .tilted import (
     ar_quiver_of_category,
     ar_quiver_of_tilted,
@@ -28,6 +28,7 @@ from .triangulation import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_LEMMA3_BOUND,
     Triangulation,
+    _require_bound,
     enumerate_triangulations,
     exchange_sides,
     quiver_of_triangulation,
@@ -50,6 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("crossings", help="full crossing-number table")
     common(sp)
+    sp.add_argument("--max-pairs", type=int, default=DEFAULT_PAIRS_BOUND,
+                    help="size bound of the n^4-entry table")
 
     sp = sub.add_parser("hom", help="graded Hom space between two edges")
     common(sp)
@@ -73,6 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--method", choices=("closed", "mesh"), default="closed")
     sp.add_argument("--max-enum", type=int, default=DEFAULT_LEMMA3_BOUND, help="lemma3 size bound")
+    sp.add_argument("--max-pairs", type=int, default=DEFAULT_PAIRS_BOUND,
+                    help="size bound of the all-pairs suites (theorem2, prop22, lemma2)")
 
     sp = sub.add_parser("triangulations", help="enumerate all triangulations")
     common(sp)
@@ -120,6 +125,7 @@ def cmd_edges(args) -> int:
 
 
 def cmd_crossings(args) -> int:
+    _require_bound(args.n, args.max_pairs, "crossing table", "--max-pairs")
     table = crossing_matrix(args.n)
     if args.format == "json":
         print(json.dumps(render.crossing_json(table), indent=2))
@@ -165,7 +171,8 @@ def cmd_ext(args) -> int:
 
 def cmd_verify(args) -> int:
     names = sorted(SUITES) if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
-    results = run_suites(names, args.n, method=args.method, max_enum=args.max_enum)
+    results = run_suites(names, args.n, method=args.method, max_enum=args.max_enum,
+                         max_pairs=args.max_pairs)
     ok = all(r.passed for r in results)
     if args.format == "json":
         print(

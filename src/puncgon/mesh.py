@@ -308,40 +308,99 @@ def hom_dim_cluster(m: TaggedEdge, other: TaggedEdge) -> int:
     return sweep.dim((d, _zq_level(other, k))) + sweep.dim((d + n, _zq_level(other, k + 1)))
 
 
+def _closed_form_cell(n: int, mm: int, i: int, j: int) -> int:
+    """Hom dimension out of grid position (1, mm) into (i, j), 1 <= i, j <= n.
+
+    The inequality regions: two at plain source levels, a chord region
+    plus two parity-alternating fork rows at fork source levels.  The
+    value 2 occurs only in a corner of the first plain region.
+    """
+    if mm <= n - 2:
+        if 1 <= i <= mm and i + j >= mm + 1:
+            return 2 if 2 <= i and 2 <= j <= n - 2 and i + j >= n else 1
+        return 1 if mm + 1 <= i <= n - 1 and n <= i + j <= n + mm - 1 else 0
+    mprime = (n - 1) + n - mm
+    return 1 if (
+        (2 <= i <= n - 1 and i + j >= n and j <= n - 2)
+        or (1 <= i <= n - 1 and j == mm and i % 2 == 1)
+        or (1 <= i <= n - 1 and j == mprime and i % 2 == 0)
+    ) else 0
+
+
 def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
     """Closed-form Hom dimension from grid positions.
 
     Rotate both edges so that m sits in column 1 at level mm; with (i, j)
-    the rotated position of the target the dimension is determined by the
-    inequality regions below (two regions at plain source levels, a
-    chord region plus two parity-alternating fork rows at fork source
-    levels; the value 2 occurs only in the overlap listed last).
+    the rotated position of the target the dimension is the value of
+    :func:`_closed_form_cell`.
     """
     _require_same_n(m, other)
     n = m.n
     cm = grid_column(m)
     i = ((grid_column(other) - cm) % n) + 1
-    mm = grid_level(m)
     if other.is_central:
         j = _fork_level(n, other.tag, cm + i - 1)
     else:
         j = grid_level(other)
-    if mm <= n - 2:
-        nonzero = (1 <= i <= mm and i + j >= mm + 1) or (
-            mm + 1 <= i <= n - 1 and n <= i + j <= n + mm - 1
-        )
-    else:
-        mprime = (n - 1) + n - mm
-        nonzero = (
-            (2 <= i <= n - 1 and i + j >= n and j <= n - 2)
-            or (1 <= i <= n - 1 and j == mm and i % 2 == 1)
-            or (1 <= i <= n - 1 and j == mprime and i % 2 == 0)
-        )
-    double = 2 <= mm <= n - 2 and 2 <= i <= mm and 2 <= j <= n - 2 and i + j >= n
-    if double:
-        assert nonzero
-        return 2
-    return 1 if nonzero else 0
+    return _closed_form_cell(n, grid_level(m), i, j)
+
+
+class RowTargets:
+    """The targets of a Hom row, in the caller's order, with the grid data
+    both row engines read worked out once.
+
+    ``cells`` holds, per target, its column co and its levels at the
+    absolute columns co and co + n.  A plain level is the same at both; a
+    fork level follows the parity of the absolute column, so at co + 2n
+    it is the level at co again.
+    """
+
+    __slots__ = ("n", "cells")
+
+    def __init__(self, n: int, edges):
+        self.n = n
+        cells = []
+        for e in edges:
+            _require_same_n(self, e)
+            co = grid_column(e)
+            if e.is_central:
+                cells.append((co, _fork_level(n, e.tag, co), _fork_level(n, e.tag, co + n)))
+            else:
+                level = grid_level(e)
+                cells.append((co, level, level))
+        self.cells = tuple(cells)
+
+
+def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
+    """:func:`hom_dim_cluster` from m to every target: the source's
+    column, level and sweep are looked up once for the whole row."""
+    _require_same_n(m, targets)
+    n = m.n
+    cm = grid_column(m)
+    sweep = _sweep(n, grid_level(m))
+    sweep.ensure(2 * n - 1)
+    spaces = sweep._spaces
+    row = []
+    for co, here, next_copy in targets.cells:
+        if co >= cm:  # shifts 0 and 1
+            d, a, b = co - cm, here, next_copy
+        else:  # shifts 1 and 2
+            d, a, b = co - cm + n, next_copy, here
+        row.append(spaces[(d, a)].dim + spaces[(d + n, b)].dim)
+    return row
+
+
+def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
+    """:func:`hom_dim_closed_form` from m to every target, reading the
+    source's column and level once for the whole row."""
+    _require_same_n(m, targets)
+    n = m.n
+    cm, mm = grid_column(m), grid_level(m)
+    cell = _closed_form_cell
+    return [
+        cell(n, mm, co - cm + 1, here) if co >= cm else cell(n, mm, co - cm + n + 1, next_copy)
+        for co, here, next_copy in targets.cells
+    ]
 
 
 # ---------------------------------------------------------------------------

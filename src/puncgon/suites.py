@@ -18,8 +18,14 @@ from .geometry import (
     tau,
     tau_power,
 )
-from .mesh import hom_dim_closed_form, hom_dim_cluster
+from .mesh import RowTargets, hom_dim_closed_form, hom_row_closed_form, hom_row_cluster
 from .triangulation import DEFAULT_LEMMA3_BOUND, _require_bound, maximal_noncrossing_sets
+
+# The suites that check all n**4 ordered pairs, and the largest n they run
+# at unless the caller raises it (``verify --max-pairs``, which also bounds
+# the n**4-entry ``crossings`` table).
+PAIR_SUITES = ("theorem2", "prop22", "lemma2")
+DEFAULT_PAIRS_BOUND = 32
 
 # Hom dimensions out of the edge at grid position (1, 3) for n = 6, as a
 # map level -> values at columns 1..6.  This fixes the worked reference
@@ -65,16 +71,19 @@ def suite_theorem2(n: int, method: str = "closed") -> SuiteResult:
 
 
 def suite_prop22(n: int) -> SuiteResult:
-    """Mesh-engine Hom dimensions against the closed form on all pairs; for
-    n = 6 additionally the reference grid out of position (1, 3)."""
+    """Mesh-engine Hom dimensions against the closed form on all pairs, one
+    source row at a time; for n = 6 additionally the reference grid out of
+    position (1, 3)."""
     edges = enumerate_tagged_edges(n)
+    targets = RowTargets(n, edges)
     failures = []
     for m in edges:
-        for other in edges:
-            mesh = hom_dim_cluster(m, other)
-            closed = hom_dim_closed_form(m, other)
-            if mesh != closed:
-                failures.append([str(m), str(other), mesh, closed])
+        mesh_row = hom_row_cluster(m, targets)
+        closed_row = hom_row_closed_form(m, targets)
+        if mesh_row != closed_row:
+            for other, mesh, closed in zip(edges, mesh_row, closed_row):
+                if mesh != closed:
+                    failures.append([str(m), str(other), mesh, closed])
     grid_ok = True
     if n == 6:
         src = pos_inv(6, (1, 3))
@@ -195,13 +204,17 @@ SUITES = {
 
 
 def run_suites(names: list[str], n: int, method: str = "closed",
-               max_enum: int = DEFAULT_LEMMA3_BOUND) -> list[SuiteResult]:
-    """Run the named suites in order.  Every name, and the lemma3 bound,
-    is checked before the first suite runs."""
+               max_enum: int = DEFAULT_LEMMA3_BOUND,
+               max_pairs: int = DEFAULT_PAIRS_BOUND) -> list[SuiteResult]:
+    """Run the named suites in order.  Every name, the lemma3 bound and
+    the bound of the all-pairs suites are checked before the first suite
+    runs."""
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if "lemma3" in names:
         _require_bound(n, max_enum)
+    if any(name in PAIR_SUITES for name in names):
+        _require_bound(n, max_pairs, "all-pairs check", "--max-pairs")
     options = {"theorem2": {"method": method}, "lemma3": {"max_n": max_enum}}
     return [SUITES[name](n, **options.get(name, {})) for name in names]

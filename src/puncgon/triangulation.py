@@ -170,10 +170,10 @@ def maximal_noncrossing_sets(n: int) -> list[frozenset[TaggedEdge]]:
     return [frozenset(edges[i] for i in leaf) for leaf in leaves]
 
 
-def _require_bound(n: int, max_n: int) -> None:
+def _require_bound(n: int, max_n: int, what: str = "enumeration", flag: str = "--max-enum") -> None:
     if n > max_n:
-        raise ValueError(f"enumeration for n={n} exceeds the configured bound {max_n}; "
-                         "pass a larger max_n (--max-enum) to override")
+        raise ValueError(f"{what} for n={n} exceeds the configured bound {max_n}; "
+                         f"pass a larger max_n ({flag}) to override")
 
 
 def enumerate_triangulations(

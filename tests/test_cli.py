@@ -3,7 +3,7 @@ import json
 import pytest
 
 from puncgon.cli import main
-from puncgon.suites import SUITES, SuiteResult
+from puncgon.suites import DEFAULT_PAIRS_BOUND, PAIR_SUITES, SUITES, SuiteResult
 
 
 def run(capsys, *argv):
@@ -140,6 +140,51 @@ def test_verify_lemma3_bound(capsys):
         assert code == 2 and out == "" and "--max-enum" in err
     code, out, _ = run(capsys, "verify", "--n", "4", "--suite", "lemma3", "--max-enum", "4")
     assert code == 0 and "50 maximal non-crossing sets" in out
+
+
+def test_crossings_pairs_bound(capsys):
+    # crossings --n 20 and verify --n 14 are benchmarked; the golden corpus stops at 8
+    assert DEFAULT_PAIRS_BOUND >= 20
+    too_big = str(DEFAULT_PAIRS_BOUND + 1)
+    for argv in (("--n", too_big), ("--n", "5", "--max-pairs", "4")):
+        for fmt in ("text", "json"):
+            code, out, err = run(capsys, "crossings", *argv, "--format", fmt)
+            assert code == 2 and out == "" and "--max-pairs" in err, argv
+    code, out, _ = run(capsys, "crossings", "--n", "5", "--max-pairs", "5", "--format", "json")
+    assert code == 0 and len(json.loads(out)["matrix"]) == 25
+
+
+def test_verify_pairs_bound_refuses_before_any_suite_runs(capsys, monkeypatch):
+    called = []
+
+    def spy(name):
+        def suite(n, **options):
+            called.append(name)
+            return SuiteResult(name, n, True, "spy")
+        return suite
+
+    for name in SUITES:
+        monkeypatch.setitem(SUITES, name, spy(name))
+    too_big = str(DEFAULT_PAIRS_BOUND + 1)
+    for name in PAIR_SUITES:
+        for argv in (("--n", too_big), ("--n", "5", "--max-pairs", "4")):
+            code, out, err = run(capsys, "verify", *argv, "--suite", f"tau-period,{name}")
+            assert (code, out, called) == (2, "", []), (name, argv)
+            assert "--max-pairs" in err and "all-pairs check" in err
+    # the bound covers only the n**4 suites, and raising it admits them
+    code, _, _ = run(capsys, "verify", "--n", "5", "--max-pairs", "4",
+                     "--suite", "tau-period,ar-triangles,lemma3")
+    assert code == 0 and called == ["tau-period", "ar-triangles", "lemma3"]
+    code, _, _ = run(capsys, "verify", "--n", "5", "--max-pairs", "5",
+                     "--suite", ",".join(PAIR_SUITES))
+    assert code == 0 and called[3:] == list(PAIR_SUITES)
+
+
+def test_verify_pairs_bound_real_suites(capsys):
+    code, out, err = run(capsys, "verify", "--n", "4", "--max-pairs", "3", "--suite", "prop22")
+    assert code == 2 and out == "" and "n=4 exceeds the configured bound 3" in err
+    code, out, _ = run(capsys, "verify", "--n", "4", "--max-pairs", "4", "--suite", "prop22")
+    assert code == 0 and "[PASS] prop22 (n=4): 256 pairs" in out
 
 
 def test_flipwalk_involution_script(capsys):

@@ -1,14 +1,19 @@
 import pytest
 
+from puncgon import mesh
 from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
     TaggedEdge,
     elementary_moves,
     enumerate_tagged_edges,
+    grid_column,
+    grid_level,
+    pos_inv,
     tau,
 )
 from puncgon.mesh import MeshVertex, hom_dim_closed_form, mesh_vertex_at, zq_in_arrows
+from puncgon.suites import suite_prop22
 
 
 @pytest.mark.parametrize("n", range(3, 7))
@@ -63,6 +68,45 @@ def test_verify_theorem2_detects_corruption():
     rep = verify_theorem2(4, crossing_fn=corrupted)
     assert not rep.passed
     assert len(rep.failures) > 0
+    edges = enumerate_tagged_edges(4)
+    expected = []
+    for m in edges:
+        for other in edges:
+            e1, cn = hom_dim_closed_form(m, tau(other)), corrupted(m, other)
+            if e1 != cn:
+                expected.append((str(m), str(other), e1, cn))
+    assert list(rep.failures) == expected
+    assert rep.pairs_checked == 4 ** 4
+    mesh = verify_theorem2(4, method="mesh", crossing_fn=corrupted)
+    assert mesh.failures == rep.failures and mesh.pairs_checked == 4 ** 4
+
+
+def test_prop22_reports_a_corrupted_closed_form_cell(monkeypatch):
+    """One cell of the closed-form kernel lowered: the suite names exactly
+    the pairs that read it, with the mesh value and the corrupted one, in
+    canonical order."""
+    n, mm, i, j = 6, 3, 3, 3  # the double cell of the n = 6 reference grid
+    kernel = mesh._closed_form_cell
+
+    def corrupted(n_, mm_, i_, j_):
+        value = kernel(n_, mm_, i_, j_)
+        return value - 1 if (n_, mm_, i_, j_) == (n, mm, i, j) else value
+
+    monkeypatch.setattr(mesh, "_closed_form_cell", corrupted)
+    result = suite_prop22(n)
+    assert not result.passed
+    # every source at level 3 reads the cell at the target two columns on
+    expected = []
+    for m in enumerate_tagged_edges(n):
+        if grid_level(m) == mm:
+            col = grid_column(m) + i - 1
+            other = pos_inv(n, ((col - 1) % n + 1, j))
+            expected.append([str(m), str(other), 2, 1])
+    assert len(expected) == n
+    # the reference grid out of position (1, 3) reads the same cell
+    expected.append(["grid(3,3)", str(pos_inv(n, (1, 3))), 1, 2])
+    assert result.details["failures"] == expected
+    assert f"{n ** 4} pairs mesh vs closed form, {n + 1} failures" in result.summary
 
 
 def test_ar_triangle_case_shapes():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from puncgon.geometry import (
@@ -221,3 +223,66 @@ def test_position_string():
     assert str(Position(2, 5)) == "(2,5)"
     assert str(TaggedEdge(6, 0, 3)) == "0-3"
     assert str(TaggedEdge.central(6, 2, -1)) == "2|-"
+
+
+# ---------------------------------------------------------------------------
+# seeded properties up to n = 40
+
+
+def _random_edges(rng, count):
+    """Seeded random tagged edges of random polygons with 3 <= n <= 40,
+    drawn from the raw fields; invalid draws are redrawn."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 40)
+        a = rng.randrange(n)
+        if rng.random() < 0.2:
+            out.append(TaggedEdge.central(n, a, rng.choice((1, -1))))
+            continue
+        b = rng.randrange(n)
+        if b not in (a, (a + 1) % n):
+            out.append(TaggedEdge(n, a, b))
+    return out
+
+
+def test_parse_print_roundtrip_seeded():
+    rng = random.Random(20240401)
+    for e in _random_edges(rng, 2000):
+        text = str(e)
+        assert TaggedEdge.parse(e.n, text) == e, text
+        assert TaggedEdge.parse(e.n, f"  {text} ") == e, text
+        assert str(TaggedEdge.parse(e.n, text)) == text
+
+
+def test_pos_bijection_seeded():
+    """pos_inv inverts pos on random edges, and pos inverts pos_inv on
+    random grid cells, so pos is a bijection onto {1..n} x {1..n}."""
+    rng = random.Random(20240402)
+    for e in _random_edges(rng, 2000):
+        p = pos(e)
+        assert 1 <= p.column <= e.n and 1 <= p.level <= e.n
+        assert pos_inv(e.n, p) == e, e
+    for _ in range(2000):
+        n = rng.randint(3, 40)
+        cell = (rng.randint(1, n), rng.randint(1, n))
+        assert tuple(pos(pos_inv(n, cell))) == cell, (n, cell)
+
+
+def test_tau_periods_seeded():
+    """tau^n is the identity for even n; for odd n it negates exactly the
+    central tags, and tau^(2n) is the identity.  tau is iterated here, so
+    the check does not rest on tau_power."""
+    rng = random.Random(20240403)
+    for m in _random_edges(rng, 400):
+        n = m.n
+        step = m
+        for _ in range(n):
+            step = tau(step)
+        if n % 2 == 0 or not m.is_central:
+            assert step == m, m
+        else:
+            assert step == TaggedEdge.central(n, m.start, -m.tag), m
+        assert step == tau_power(m, n)
+        for _ in range(n):
+            step = tau(step)
+        assert step == m == tau_power(m, 2 * n), m

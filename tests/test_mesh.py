@@ -11,16 +11,20 @@ from puncgon.geometry import (
 )
 from puncgon.mesh import (
     MeshClosureError,
+    RowTargets,
     cluster_shifts,
     compose,
     hom_dim_closed_form,
     hom_dim_cluster,
+    hom_row_closed_form,
+    hom_row_cluster,
     mesh_vertex_at,
     morphism_space,
     zq_in_arrows,
     zq_tau,
     _relative_column,
     _sweep,
+    _zq_level,
 )
 
 from oracles import hom_dim_mesh_by_rank, hom_dims_by_knitting, int_rank, zq_out_arrows
@@ -150,6 +154,41 @@ def test_literal_rank_oracle_nonzero(n, source, target, dim):
     assert morphism_space(m, other).dim(0) == dim
 
 
+# Nonzero graded components that the literal oracle certifies: shifts
+# k >= 1 (dimension 1 and 2) and fork levels at either end, as
+# (n, source, target, shift, dim).
+ORACLE_NONZERO_CASES = [
+    (4, "3-2", "0-3", 1, 2),
+    (4, "3-2", "1-0", 1, 1),
+    (4, "3-2", "0|-", 1, 1),
+    (4, "3|-", "1-3", 1, 1),
+    (4, "3|-", "1|-", 1, 1),
+    (4, "1|-", "3-2", 0, 1),
+    (4, "1|-", "3|-", 0, 1),
+    (5, "4-3", "2-4", 1, 1),
+    (5, "4-3", "1-0", 1, 2),
+    (5, "3-2", "0-4", 1, 2),
+    (5, "4-3", "1|-", 1, 1),
+    (5, "3-2", "0|+", 1, 1),
+    (5, "4|-", "2-4", 1, 1),
+    (5, "2|-", "0-3", 1, 1),
+    (5, "4|-", "2|-", 1, 1),
+    (5, "2|+", "0|+", 1, 1),
+    (5, "2-1", "4|-", 0, 1),
+    (5, "1|-", "4-3", 0, 1),
+    (5, "1|-", "4|-", 0, 1),
+]
+
+
+@pytest.mark.parametrize("n, source, target, shift, dim", ORACLE_NONZERO_CASES)
+def test_literal_rank_oracle_shifted_and_fork_cases(n, source, target, shift, dim):
+    m, other = TaggedEdge.parse(n, source), TaggedEdge.parse(n, target)
+    assert shift in cluster_shifts(m, other)
+    assert shift >= 1 or max(_zq_level(m, 0), _zq_level(other, 0)) >= n - 1
+    assert hom_dim_mesh_by_rank(m, other, shift) == dim
+    assert morphism_space(m, other).dim(shift) == dim
+
+
 @pytest.mark.parametrize(
     "rows, rank",
     [
@@ -262,6 +301,43 @@ def test_cluster_equals_closed_form(n):
                 m,
                 other,
             )
+
+
+def _assert_rows_match_pairs(m, targets):
+    row_targets = RowTargets(m.n, targets)
+    closed = hom_row_closed_form(m, row_targets)
+    assert closed == [hom_dim_closed_form(m, t) for t in targets], m
+    mesh = hom_row_cluster(m, row_targets)
+    assert mesh == [hom_dim_cluster(m, t) for t in targets], m
+    assert mesh == closed, m
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_row_forms_match_pair_functions(n):
+    """Every source, over the canonical targets and over their tau images
+    (the targets verify_theorem2 reads)."""
+    edges = enumerate_tagged_edges(n)
+    for targets in (edges, [tau(e) for e in edges]):
+        for m in edges:
+            _assert_rows_match_pairs(m, targets)
+
+
+@pytest.mark.parametrize("n", range(12, 21))
+def test_row_forms_match_pair_functions_seeded(n):
+    """Closed form against sweep, as rows and pair by pair, on seeded
+    random sources at sizes the exhaustive tests do not reach."""
+    edges = enumerate_tagged_edges(n)
+    for m in random.Random(f"rows:{n}").sample(edges, 8):
+        _assert_rows_match_pairs(m, edges)
+
+
+def test_row_forms_reject_mixed_polygons():
+    with pytest.raises(ValueError, match="different polygons"):
+        RowTargets(5, [TaggedEdge(5, 0, 2), TaggedEdge(6, 0, 2)])
+    targets = RowTargets(6, enumerate_tagged_edges(6))
+    for row in (hom_row_closed_form, hom_row_cluster):
+        with pytest.raises(ValueError, match="different polygons"):
+            row(TaggedEdge(5, 0, 2), targets)
 
 
 # ---------------------------------------------------------------------------
