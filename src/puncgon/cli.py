@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -213,10 +214,11 @@ def cmd_flipwalk(args) -> int:
     if args.random < 0:
         raise SystemExitError(f"--random must be at least 0, got {args.random}")
     rng = random.Random(args.seed)
-    script += [None] * args.random  # placeholders, chosen at walk time
+    # random steps are placeholders, chosen at walk time
+    steps = itertools.chain(script, itertools.repeat(None, args.random))
     out = {"n": args.n, "start": str(t).split(","), "steps": []}
     current = t
-    for chosen in script:
+    for chosen in steps:
         edge = chosen if chosen is not None else rng.choice(current.edges)
         if edge not in current:
             print(
@@ -251,6 +253,7 @@ def cmd_report(args) -> int:
     maxlen = args.maxlen if args.maxlen is not None else args.n
     vanishing = vanishing_paths_report(t, maxlen)
     quiver = vanishing.quiver
+    names = vanishing.names
     shown = quiver.transposed() if args.no_op else quiver
     tilted = ar_quiver_of_tilted(t)
     if args.format == "dot":
@@ -266,7 +269,7 @@ def cmd_report(args) -> int:
                     "quiver": render.quiver_json(shown, t),
                     "vanishing_paths": [
                         {
-                            "path": e.path_string(quiver),
+                            "path": e.path_string(names),
                             "zero": e.is_zero,
                         }
                         for e in vanishing.entries
@@ -284,7 +287,7 @@ def cmd_report(args) -> int:
     zero = vanishing.zero_paths()
     print(f"vanishing arrow paths up to length {maxlen}: {len(zero)}")
     for e in zero:
-        print(f"  0 = {e.path_string(quiver)}")
+        print(f"  0 = {e.path_string(names)}")
     print("nonzero arrow paths: " + str(len(vanishing.nonzero_paths())))
     print("module dimension vectors (coordinates over T, stacked rendering):")
     print(render.dimvec_table_text(tilted, quiver))

@@ -23,9 +23,12 @@ Morphism spaces are spaces of paths modulo the mesh ideal (all
 mesh-relation coefficients are +1).  :class:`HomSweep` computes the
 quotient by eliminating column by column (each vertex keeps an explicit
 reduced basis of path classes), which avoids the exponential path blowup
-on wide strips.  The test suite certifies it against a literal oracle
-that enumerates every path and subtracts the exact rank of the relations
-u * m_X * v.
+on wide strips.  The elimination runs over plain ints: every pivot it
+meets is -1 or 1, so each stored projection ``proj`` holds only the ints
+-1, 0 and 1, and a pivot of any other value raises
+:class:`MeshClosureError`.  Composition works in the same ints.  The
+test suite certifies the sweep against a literal oracle that enumerates
+every path and subtracts the exact rank of the relations u * m_X * v.
 
 Hom spaces in the quotient by the full rotation rho (which shifts k by
 one, i.e. columns by n) are direct sums over shifts; the sum has finite
@@ -36,7 +39,7 @@ of its column strip.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
+from functools import cached_property
 
 from .geometry import (
     TaggedEdge,
@@ -46,7 +49,6 @@ from .geometry import (
     grid_column,
     grid_level,
 )
-from .linalg import FractionElim
 
 ZqVertex = tuple[int, int]  # (column, level)
 
@@ -132,11 +134,11 @@ class _Space:
         self.paths = paths  # basis representatives, as tuples of ZqVertex
         self.ins = ins  # predecessors with nonzero spaces, canonical order
         self.offs = offs  # block offset of each predecessor
-        self.proj = proj  # rows: incoming-sum coordinates -> basis coordinates
+        self.proj = proj  # int rows in {-1, 0, 1}: incoming-sum -> basis coordinates
 
 
 _ZERO_SPACE = _Space(0, (), (), (), ())
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO, _ONE = 0, 1
 
 
 class HomSweep:
@@ -157,7 +159,10 @@ class HomSweep:
     nonzero entry of its row, so the pivot columns are the paths that
     are combinations of relations and smaller paths; the free columns,
     ascending, are the basis.  A free unit projects to itself and a pivot
-    unit to minus its reduced row on the free columns.
+    unit to minus its reduced row on the free columns.  The elimination
+    is over ints: each pivot must be -1 or 1, and any other pivot raises
+    :class:`MeshClosureError`, since the integrality of the projections
+    rests on it.
     """
 
     def __init__(self, n: int, src_level: int):
@@ -191,10 +196,7 @@ class HomSweep:
         ysp = self._spaces[y]
         iz = ysp.ins.index(z)
         off = ysp.offs[iz]
-        return [
-            sum((row[off + t] * vec[t] for t in range(len(vec))), Fraction(0))
-            for row in ysp.proj
-        ]
+        return [sum(row[off + t] * vec[t] for t in range(len(vec))) for row in ysp.proj]
 
     def _compute(self, x: ZqVertex) -> _Space:
         n = self.n
@@ -218,7 +220,7 @@ class HomSweep:
         col = {u: i for i, u in enumerate(order)}
         # mesh relations: the tau x column of each predecessor's projection
         t = zq_tau(x)
-        relations = FractionElim(total)
+        reduced: dict[int, list[int]] = {}  # pivot column -> row, reduced echelon form
         for u in range(self.space(t).dim):
             row = [_ZERO] * total
             for y, off in zip(ins, offs):
@@ -226,9 +228,26 @@ class HomSweep:
                 tcol = ysp.offs[ysp.ins.index(t)] + u
                 for b, prow in enumerate(ysp.proj):
                     row[col[off + b]] = prow[tcol]
-            relations.add(row)
+            for p, prow in reduced.items():
+                c = row[p]
+                if c:
+                    for i in range(p, total):
+                        row[i] -= c * prow[i]
+            p = next((i for i, v in enumerate(row) if v), None)
+            if p is None:
+                continue
+            pivot = row[p]
+            if pivot not in (1, -1):
+                raise MeshClosureError(f"mesh relation at vertex {x} has pivot {pivot}, not 1 or -1")
+            if pivot == -1:
+                row = [-v for v in row]
+            for other in reduced.values():
+                c = other[p]
+                if c:
+                    for i in range(p, total):
+                        other[i] -= c * row[i]
+            reduced[p] = row
         # pivots are the rejected paths; the free columns, ascending, are the basis
-        reduced = dict(relations.pivots)
         basis = [i for i in reversed(range(total)) if i not in reduced]
         proj = tuple(
             tuple(
@@ -242,8 +261,8 @@ class HomSweep:
         )
 
     def _walk(
-        self, prev: ZqVertex, coords: list[Fraction], steps: tuple[ZqVertex, ...]
-    ) -> tuple[ZqVertex, list[Fraction]]:
+        self, prev: ZqVertex, coords: list[int], steps: tuple[ZqVertex, ...]
+    ) -> tuple[ZqVertex, list[int]]:
         """Continue the coordinates of a path class ending at ``prev`` along
         the arrows to ``steps``."""
         for v in steps:
@@ -253,7 +272,7 @@ class HomSweep:
             if any(coords):
                 coords = self._arrow_apply(prev, v, coords)
             else:
-                coords = [Fraction(0)] * sp.dim
+                coords = [_ZERO] * sp.dim
             prev = v
         return prev, coords
 
@@ -426,11 +445,13 @@ class PathClass:
 class MorphismSpace:
     """Graded Hom space between two tagged edges in the rotation quotient.
 
-    ``components`` maps each shift with nonzero Hom to its basis of path
-    classes; the basis is the lexicographically first independent set of
-    paths modulo the mesh relations.  ``slots`` lists the basis
-    coordinates ``(shift, index)`` in the flat order used by ``basis``
-    and ``flatten``.
+    ``shifts`` lists, ascending, the shifts with nonzero Hom.  The basis
+    of each is the lexicographically first independent set of paths
+    modulo the mesh relations, kept as sweep paths relative to the
+    source; ``components`` maps each shift to those paths as
+    :class:`PathClass` objects, built on first access.  ``slots`` lists
+    the basis coordinates ``(shift, index)`` in the flat order used by
+    ``basis`` and ``flatten``.
     """
 
     def __init__(self, source: TaggedEdge, target: TaggedEdge):
@@ -439,29 +460,35 @@ class MorphismSpace:
         self.target = target
         self.n = source.n
         self._rel: dict[int, tuple[tuple[ZqVertex, ...], ...]] = {}
-        self.components: dict[int, tuple[PathClass, ...]] = {}
         sweep = _sweep(self.n, grid_level(source))
-        col0 = grid_column(source)
         for k in cluster_shifts(source, target):
             dc = _relative_column(source, target, k)
             sp = sweep.space((dc, _zq_level(target, k)))
-            if sp.dim == 0:
-                continue
-            self._rel[k] = sp.paths
-            self.components[k] = tuple(
+            if sp.dim:
+                self._rel[k] = sp.paths
+        self.slots = tuple((k, i) for k in self.shifts for i in range(self.dim(k)))
+
+    @property
+    def shifts(self) -> list[int]:
+        return sorted(self._rel)
+
+    @cached_property
+    def components(self) -> dict[int, tuple[PathClass, ...]]:
+        n, col0 = self.n, grid_column(self.source)
+        return {
+            k: tuple(
                 PathClass(
-                    MeshVertex(0, source),
-                    MeshVertex(k, target),
-                    tuple(mesh_vertex_at(self.n, (c + col0, j)) for (c, j) in p),
+                    MeshVertex(0, self.source),
+                    MeshVertex(k, self.target),
+                    tuple(mesh_vertex_at(n, (c + col0, j)) for (c, j) in p),
                 )
-                for p in sp.paths
+                for p in paths
             )
-        self.slots = tuple(
-            (k, i) for k in sorted(self.components) for i in range(self.dim(k))
-        )
+            for k, paths in self._rel.items()
+        }
 
     def dim(self, shift: int) -> int:
-        return len(self.components.get(shift, ()))
+        return len(self._rel.get(shift, ()))
 
     @property
     def total_dim(self) -> int:
@@ -470,14 +497,14 @@ class MorphismSpace:
     def basis_element(self, shift: int, index: int) -> "Morphism":
         if index >= self.dim(shift):
             raise IndexError(f"no basis element ({shift}, {index})")
-        return Morphism(self.source, self.target, {(shift, index): Fraction(1)})
+        return Morphism(self.source, self.target, {(shift, index): _ONE})
 
     def basis(self) -> list["Morphism"]:
         return [self.basis_element(k, i) for k, i in self.slots]
 
-    def flatten(self, mor: "Morphism") -> list[Fraction]:
+    def flatten(self, mor: "Morphism") -> list[int]:
         """Coordinates of a morphism of this space in the ``slots`` order."""
-        return [mor.coeffs.get(slot, Fraction(0)) for slot in self.slots]
+        return [mor.coeffs.get(slot, _ZERO) for slot in self.slots]
 
 
 _SPACES: dict[tuple[TaggedEdge, TaggedEdge], MorphismSpace] = {}
@@ -497,12 +524,12 @@ class Morphism:
 
     source: TaggedEdge
     target: TaggedEdge
-    coeffs: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs.values())
 
-    def normalized(self) -> dict[tuple[int, int], Fraction]:
+    def normalized(self) -> dict[tuple[int, int], int]:
         return {k: v for k, v in sorted(self.coeffs.items()) if v}
 
     def __eq__(self, other) -> bool:
@@ -541,7 +568,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     The representative of g is translated by the rotation power matching
     f's shift, concatenated after f's representative, and reduced modulo
     the mesh relations into the stored basis of Hom(M, P).  Only g's
-    arrows are walked: f's representative is a stored basis path.
+    arrows are walked: f's representative is a stored basis path.  The
+    coefficients are ints, as are those of the sweep it walks.
     """
     if f.target != g.source:
         raise ValueError(
@@ -553,7 +581,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     space_f = morphism_space(m, nn)
     space_g = morphism_space(nn, p)
     space_out = morphism_space(m, p)
-    out: dict[tuple[int, int], Fraction] = {}
+    out: dict[tuple[int, int], int] = {}
     for (k, i), a in f.coeffs.items():
         if not a:
             continue
@@ -568,12 +596,15 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             if not b:
                 continue
             shifted = _translate_path(space_g._rel[l][j], off, n, flip)
-            assert shifted[0] == end
+            if shifted[0] != end:
+                raise MeshClosureError(
+                    f"translated path of g starts at {shifted[0]}, not at f's end {end}"
+                )
             _, coords = sweep._walk(end, coords_f, shifted[1:])
             for idx, c in enumerate(coords):
                 if c:
                     key = (k + l, idx)
-                    out[key] = out.get(key, Fraction(0)) + a * b * c
+                    out[key] = out.get(key, _ZERO) + a * b * c
     out = {k: v for k, v in out.items() if v}
     for (k, idx) in out:
         if idx >= space_out.dim(k):

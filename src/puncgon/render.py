@@ -65,7 +65,7 @@ def hom_json(space: MorphismSpace) -> dict:
         "n": space.n,
         "source": str(space.source),
         "target": str(space.target),
-        "components": {str(k): space.dim(k) for k in sorted(space.components)},
+        "components": {str(k): space.dim(k) for k in space.shifts},
         "total": space.total_dim,
         "closed_form": hom_dim_closed_form(space.source, space.target),
     }
@@ -75,7 +75,7 @@ def hom_text(space: MorphismSpace, show_basis: bool = False) -> str:
     lines = [
         f"Hom({space.source}, {space.target}): total dimension {space.total_dim}"
     ]
-    for k in sorted(space.components):
+    for k in space.shifts:
         lines.append(f"  shift {k}: dimension {space.dim(k)}")
         if show_basis:
             for p in space.components[k]:

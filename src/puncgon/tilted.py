@@ -115,9 +115,10 @@ class VanishingEntry:
     arrows: tuple[tuple[int, int, int], ...]  # (source, target, instance)
     is_zero: bool
 
-    def path_string(self, quiver: QuiverPresentation) -> str:
-        verts = [self.arrows[0][0]] + [a[1] for a in self.arrows]
-        return " -> ".join(str(quiver.vertices[v]) for v in verts)
+    def path_string(self, names) -> str:
+        """The path as vertex names; ``names[i]`` is the string of quiver
+        vertex i, rendered once per report (:attr:`VanishingReport.names`)."""
+        return " -> ".join([names[self.arrows[0][0]]] + [names[a[1]] for a in self.arrows])
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,10 @@ class VanishingReport:
     quiver: QuiverPresentation
     maxlen: int
     entries: tuple[VanishingEntry, ...]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(str(v) for v in self.quiver.vertices)
 
     def zero_paths(self) -> tuple[VanishingEntry, ...]:
         return tuple(e for e in self.entries if e.is_zero)

@@ -17,7 +17,6 @@ against a separate brute-force approximation search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
 from .geometry import TaggedEdge, edge_sort_key, tau
@@ -234,14 +233,19 @@ class ExchangeData:
 
 def _composite_span(a: TaggedEdge, b: TaggedEdge, through) -> FractionElim:
     """Span, inside Hom(a, b) in its flat coordinates, of the compositions
-    a -> c -> b over every c in ``through``."""
+    a -> c -> b over every c in ``through``.  It stops as soon as the span
+    is all of Hom(a, b): past that point only its rank is read, and no
+    further composition can change it."""
     space = morphism_space(a, b)
-    elim = FractionElim(space.total_dim)
+    full = space.total_dim
+    elim = FractionElim(full)
     for c in through:
         gs = morphism_space(c, b).basis()
         for f in morphism_space(a, c).basis():
             for g in gs:
                 elim.add(space.flatten(compose(f, g)))
+                if elim.rank == full:
+                    return elim
     return elim
 
 
@@ -344,9 +348,7 @@ def quiver_with_representatives(
                 continue
             chosen = []
             for idx, mor in enumerate(space.basis()):
-                vec = [Fraction(0)] * dim
-                vec[idx] = Fraction(1)
-                if elim.add(vec):
+                if elim.add([int(i == idx) for i in range(dim)]):
                     chosen.append(mor)
                     if len(chosen) == mult:
                         break

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction
 
 from puncgon.crossing import crossing_number
@@ -31,6 +32,7 @@ from puncgon.mesh import (
     zq_in_arrows,
     zq_tau,
 )
+from puncgon.triangulation import Triangulation, exchange_sides, quiver_of_triangulation
 
 
 def zq_out_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
@@ -371,3 +373,47 @@ def minimal_approximation(
             if admits_surjections(context, target, multiset, rng):
                 return multiset
     return None
+
+
+# ---------------------------------------------------------------------------
+# cluster mutation: quivers and exchange factors across one flip
+
+
+def exchange_matrix(t: Triangulation) -> dict[tuple[TaggedEdge, TaggedEdge], int]:
+    """Skew-symmetric matrix of the Gabriel quiver: b[x, y] is the number
+    of arrows x -> y minus the number of arrows y -> x."""
+    q = quiver_of_triangulation(t)
+    b = {(x, y): 0 for x in q.vertices for y in q.vertices}
+    for i, j, mult in q.arrows:
+        b[q.vertices[i], q.vertices[j]] += mult
+        b[q.vertices[j], q.vertices[i]] -= mult
+    return b
+
+
+def mutation_mismatches(t: Triangulation, m: TaggedEdge) -> list[str]:
+    """Where the flip of m disagrees with Fomin-Zelevinsky mutation at m.
+
+    The quiver after the flip must be mu_m of the quiver before, with m
+    renamed to its flip partner: b'[x, y] = -b[x, y] when m is x or y, and
+    b[x, y] + sign(b[x, m]) * max(b[x, m] * b[m, y], 0) otherwise.  The
+    side factors of the exchange relation must be the arrows into m and
+    the coside factors the arrows out of m, counted with multiplicity."""
+    b = exchange_matrix(t)
+    data = exchange_sides(t, m)
+    after = exchange_matrix(t.replace(m, data.inserted))
+    out = []
+    for (x, y), v in b.items():
+        if m in (x, y):
+            want = -v
+        else:
+            want = v + (1 if b[x, m] > 0 else -1) * max(b[x, m] * b[m, y], 0)
+        key = tuple(data.inserted if e == m else e for e in (x, y))
+        if after[key] != want:
+            out.append(f"b[{key[0]}, {key[1]}]: mutation {want}, flip {after[key]}")
+    for name, factors, arrows in (
+        ("side", data.side_factors, {x: b[x, m] for x in t.edges}),
+        ("coside", data.coside_factors, {y: b[m, y] for y in t.edges}),
+    ):
+        if Counter(factors) != +Counter(arrows):
+            out.append(f"{name} factors {factors}, arrows {dict(+Counter(arrows))}")
+    return out

@@ -213,6 +213,15 @@ def test_flipwalk_unknown_edge(capsys):
     assert "current triangulation" in err
 
 
+def test_flipwalk_builds_random_steps_lazily(capsys):
+    """A huge --random count costs nothing up front: the bad scripted
+    first step is refused before any random step exists."""
+    code, out, err = run(capsys, "flipwalk", "--n", "4", "--T", "3-1,3|+,1-3,1|+",
+                         "--script", "0-2", "--random", str(10**12))
+    assert code == 2 and out == ""
+    assert "error: edge 0-2 is not in the current triangulation" in err
+
+
 def test_flipwalk_rejects_negative_random(capsys):
     code, out, err = run(capsys, "flipwalk", "--n", "5", "--T",
                          "0-2,0-3,0-4,0|+,0|-", "--random", "-3")

@@ -10,6 +10,7 @@ from puncgon.geometry import (
     tau,
 )
 from puncgon.mesh import (
+    HomSweep,
     MeshClosureError,
     RowTargets,
     cluster_shifts,
@@ -415,6 +416,33 @@ def test_compose_rejects_mismatched_objects():
     g = _identity(TaggedEdge(5, 0, 3))
     with pytest.raises(ValueError):
         compose(f, g)
+
+
+def test_compose_coefficients_are_ints():
+    edges = enumerate_tagged_edges(5)
+    seen = set()
+    for a in edges[:10]:
+        for b in edges:
+            for f in morphism_space(a, b).basis():
+                for c in edges:
+                    for g in morphism_space(b, c).basis():
+                        coeffs = compose(f, g).coeffs.values()
+                        assert all(type(v) is int for v in coeffs), (str(f), str(g))
+                        seen.update(coeffs)
+    assert {-1, 1} <= seen
+
+
+def test_sweep_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
+    """The integrality check: with the projection of (0, 2) onto its one
+    in-arrow from the source corrupted from 1 to 2, the mesh relation at
+    (1, 1), whose translate is the source, has pivot 2."""
+    sweep = HomSweep(4, 1)  # a fresh sweep, so the cached ones stay intact
+    sweep.ensure(0)
+    space = sweep.space((0, 2))
+    assert space.proj == ((1,),)
+    monkeypatch.setattr(space, "proj", ((2,),))
+    with pytest.raises(MeshClosureError, match=r"vertex \(1, 1\) has pivot 2,"):
+        sweep.ensure(1)
 
 
 def test_sweep_guard_raises_instead_of_diverging():

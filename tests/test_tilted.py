@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 
-from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, pos, tau
+from puncgon.crossing import crossing_number
+from puncgon.geometry import TaggedEdge, elementary_moves, enumerate_tagged_edges, pos, tau
 from puncgon.tilted import (
     ar_quiver_of_category,
     ar_quiver_of_tilted,
@@ -14,6 +16,7 @@ from puncgon.triangulation import (
     Triangulation,
     enumerate_triangulations,
     fan_triangulation,
+    flip,
     quiver_of_triangulation,
 )
 
@@ -189,6 +192,48 @@ def test_mesh_additivity_inequality_in_tilted_quiver(n):
             for s in middles:
                 rhs = [a + b for a, b in zip(rhs, quiver.dimvec(s).coords)]
             assert all(r >= l for l, r in zip(lhs, rhs)), (t, m)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_crossing_numbers_satisfy_the_mesh_law(n):
+    """Dimension vectors are additive on meshes up to the two ends:
+    e(tau M, X) + e(M, X) - sum over arrows E -> M of e(E, X) equals
+    [X = M] + [X = tau M], for every pair M, X."""
+    edges = enumerate_tagged_edges(n)
+    into = {m: [] for m in edges}
+    for e in edges:
+        for m in elementary_moves(e):
+            into[m].append(e)
+    for m in edges:
+        tm = tau(m)
+        for x in edges:
+            defect = crossing_number(tm, x) + crossing_number(m, x)
+            defect -= sum(crossing_number(e, x) for e in into[m])
+            assert defect == (x == m) + (x == tm), (str(m), str(x), defect)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_tilted_dimension_vectors_add_on_meshes(n):
+    """On every mesh of the tilted AR quiver whose ends M and tau M both
+    survive, dim(tau M) + dim(M) is the sum over the arrows E -> M; a
+    middle term in T has dimension vector zero and is deleted."""
+    rng = random.Random(f"meshes:{n}")
+    t = fan_triangulation(n, rng.randrange(n))
+    for _ in range(3 * n):
+        t = flip(t, rng.choice(t.edges))[0]
+    quiver = ar_quiver_of_tilted(t)
+    into = {m: [] for m in quiver.vertices}
+    for e, m in quiver.arrows:
+        into[m].append(e)
+    meshes = 0
+    for m, tm in quiver.tau_pairs:
+        total = [0] * n
+        for e in into[m]:
+            total = [a + b for a, b in zip(total, quiver.dimvec(e).coords)]
+        ends = [a + b for a, b in zip(quiver.dimvec(tm).coords, quiver.dimvec(m).coords)]
+        assert ends == total, (str(t), str(m))
+        meshes += 1
+    assert meshes == n * n - 2 * n
 
 
 def test_fan_has_no_relations():

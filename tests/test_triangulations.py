@@ -8,9 +8,11 @@ import pytest
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
 from puncgon.suites import suite_lemma3
+from puncgon.mesh import compose, morphism_space
 from puncgon.triangulation import (
     ExchangeError,
     Triangulation,
+    _composite_span,
     enumerate_triangulations,
     exchange_sides,
     fan_triangulation,
@@ -20,7 +22,14 @@ from puncgon.triangulation import (
     quiver_of_triangulation,
 )
 
-from oracles import admits_surjections, lowest_first_maximal_sets, minimal_approximation
+import oracles
+from oracles import (
+    admits_surjections,
+    int_rank,
+    lowest_first_maximal_sets,
+    minimal_approximation,
+    mutation_mismatches,
+)
 
 
 def type_d_cluster_count(n: int) -> int:
@@ -349,3 +358,57 @@ def test_quiver_has_no_loops_or_two_cycles_with_radii(n):
     for t in enumerate_triangulations(n)[:10]:
         q = quiver_of_triangulation(t)
         assert all(a != b for a, b, _ in q.arrows)
+
+
+@pytest.mark.parametrize("n", range(4, 17))
+def test_flips_mutate_quiver_and_exchange_factors(n):
+    """Seeded flip walks: each flip mutates the Gabriel quiver at the
+    flipped vertex, and its exchange factors are that vertex's in- and
+    out-neighbours."""
+    rng = random.Random(f"mutation:{n}")
+    t = fan_triangulation(n, rng.randrange(n))
+    for _ in range(10):
+        m = rng.choice(t.edges)
+        assert mutation_mismatches(t, m) == [], (str(t), str(m))
+        t = flip(t, m)[0]
+
+
+def test_mutation_oracle_rejects_swapped_sides(monkeypatch):
+    real = oracles.exchange_sides
+
+    def swapped(t, m):
+        data = real(t, m)
+        return dataclasses.replace(
+            data, side_factors=data.coside_factors, coside_factors=data.side_factors
+        )
+
+    t, m = left_figure()
+    assert mutation_mismatches(t, m) == []
+    monkeypatch.setattr(oracles, "exchange_sides", swapped)
+    assert mutation_mismatches(t, m) != []
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_composite_span_stops_at_the_full_rank(n):
+    """The span stops once it is all of Hom(a, b); its rank is still the
+    rank of every composition a -> c -> b through the other members."""
+    products = {}
+
+    def through(a, c, b):
+        if (a, c, b) not in products:
+            space = morphism_space(a, b)
+            products[a, c, b] = [
+                space.flatten(compose(f, g))
+                for f in morphism_space(a, c).basis()
+                for g in morphism_space(c, b).basis()
+            ]
+        return products[a, c, b]
+
+    for t in enumerate_triangulations(n):
+        for a in t.edges:
+            for b in t.edges:
+                if a == b:
+                    continue
+                others = [c for c in t.edges if c not in (a, b)]
+                rows = [row for c in others for row in through(a, c, b)]
+                assert _composite_span(a, b, others).rank == int_rank(rows), (str(t), a, b)
