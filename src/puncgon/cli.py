@@ -228,18 +228,19 @@ def cmd_flipwalk(args) -> int:
             return 2
         data = exchange_sides(current, edge)
         current = current.replace(edge, data.inserted)
-        step = {
+        relation = data.relation_string()
+        if args.format == "text":
+            print(f"flip {data.removed} -> {data.inserted}: {relation}")
+            continue
+        out["steps"].append({
             "removed": str(data.removed),
             "inserted": str(data.inserted),
             "crossing": crossing_number(data.removed, data.inserted),
             "side_factors": [str(f) for f in data.side_factors],
             "coside_factors": [str(f) for f in data.coside_factors],
-            "relation": data.relation_string(),
+            "relation": relation,
             "triangulation": str(current).split(","),
-        }
-        out["steps"].append(step)
-        if args.format == "text":
-            print(f"flip {data.removed} -> {data.inserted}: {data.relation_string()}")
+        })
     out["final"] = str(current).split(",")
     if args.format == "json":
         print(json.dumps(out, indent=2))

@@ -134,9 +134,11 @@ def fan_triangulation(n: int, base: int = 0) -> Triangulation:
     return Triangulation(n, tuple(edges))
 
 
-def maximal_noncrossing_sets(n: int) -> list[frozenset[TaggedEdge]]:
-    """Every maximal pairwise non-crossing set, of whatever size, in
-    lexicographic order of the sets' sorted canonical edge indices.
+def maximal_noncrossing_sets(n: int) -> list[tuple[int, ...]]:
+    """Every maximal pairwise non-crossing set, of whatever size, as the
+    strictly increasing tuple of its indices into
+    :func:`enumerate_tagged_edges`; the list is in lexicographic order of
+    those tuples.
 
     Bron-Kerbosch on bitsets of those indices, with the Tomita pivot: each
     node branches only on P minus N(u), for the u in P | X maximising
@@ -166,7 +168,7 @@ def maximal_noncrossing_sets(n: int) -> list[frozenset[TaggedEdge]]:
 
     extend((), (1 << len(edges)) - 1, 0)
     leaves.sort()
-    return [frozenset(edges[i] for i in leaf) for leaf in leaves]
+    return leaves
 
 
 def _require_bound(n: int, max_n: int, what: str = "enumeration", flag: str = "--max-enum") -> None:
@@ -181,7 +183,8 @@ def enumerate_triangulations(
     """All triangulations, in deterministic order.  The search is
     exponential; n above ``max_n`` is refused unless the bound is raised."""
     _require_bound(n, max_n)
-    return [Triangulation(n, tuple(s)) for s in maximal_noncrossing_sets(n)]
+    edges = _canonical_bits(n)[0]
+    return [Triangulation(n, tuple(edges[i] for i in s)) for s in maximal_noncrossing_sets(n)]
 
 
 def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:

@@ -85,11 +85,12 @@ def lift_scan_crossing(m: TaggedEdge, other: TaggedEdge, width: int = 6) -> int:
     return hits
 
 
-def lowest_first_maximal_sets(n: int) -> list[frozenset[TaggedEdge]]:
-    """Every maximal non-crossing set, by unpivoted Bron-Kerbosch on sets
-    of indices into :func:`enumerate_tagged_edges`, with the adjacency read
-    from ``crossing_number``.  Branching on the lowest candidate first
-    emits the sets in lexicographic order of their sorted indices."""
+def lowest_first_maximal_sets(n: int) -> list[tuple[int, ...]]:
+    """Every maximal non-crossing set, as the increasing tuple of its
+    indices into :func:`enumerate_tagged_edges`, by unpivoted Bron-Kerbosch
+    on sets of those indices, with the adjacency read from
+    ``crossing_number``.  Branching on the lowest candidate first chooses
+    indices in increasing order and emits the sets in lexicographic order."""
     edges = enumerate_tagged_edges(n)
     nbrs = [
         {j for j, f in enumerate(edges) if j != i and crossing_number(e, f) == 0}
@@ -99,7 +100,7 @@ def lowest_first_maximal_sets(n: int) -> list[frozenset[TaggedEdge]]:
 
     def extend(chosen, candidates, excluded):
         if not candidates and not excluded:
-            out.append(frozenset(edges[i] for i in chosen))
+            out.append(tuple(chosen))
         for v in sorted(candidates):
             extend(chosen + [v], candidates & nbrs[v], excluded & nbrs[v])
             candidates = candidates - {v}

@@ -7,6 +7,7 @@ import pytest
 
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
+from puncgon import suites
 from puncgon.suites import suite_lemma3
 from puncgon.mesh import compose, morphism_space
 from puncgon.triangulation import (
@@ -85,7 +86,8 @@ def test_counts_against_formula(n):
     if n == 9:
         return  # validating 35,750 triangulations twice would add about 3 s
     tris = enumerate_triangulations(n, max_n=8)
-    assert [set(t.edges) for t in tris] == sets
+    edges = enumerate_tagged_edges(n)
+    assert [t.edges for t in tris] == [tuple(edges[i] for i in s) for s in sets]
     # deterministic order
     again = enumerate_triangulations(n, max_n=8)
     assert [str(t) for t in tris] == [str(t) for t in again]
@@ -95,6 +97,25 @@ def test_counts_against_formula(n):
 def test_pivoted_search_keeps_lowest_first_order(n):
     # the same sets, in the same order, as the unpivoted lowest-first search
     assert maximal_noncrossing_sets(n) == lowest_first_maximal_sets(n)
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_maximal_sets_are_increasing_index_tuples(n):
+    for s in maximal_noncrossing_sets(n):
+        assert type(s) is tuple
+        assert all(type(i) is int and 0 <= i < n * n for i in s)
+        assert all(a < b for a, b in zip(s, s[1:]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_lemma3_fails_on_a_set_of_the_wrong_size(n, monkeypatch):
+    # the suite re-derives the sizes, so one short set must fail it
+    real = suites.maximal_noncrossing_sets
+    monkeypatch.setattr(suites, "maximal_noncrossing_sets",
+                        lambda k: real(k) + [tuple(range(k - 1))])
+    result = suite_lemma3(n)
+    assert not result.passed
+    assert result.details == {"count": type_d_cluster_count(n) + 1, "sizes": [n - 1, n]}
 
 
 def test_n3_shape_classes():
