@@ -19,6 +19,7 @@ from .crossing import (
     compatible,
     crossing_matrix,
     crossing_number,
+    crossing_row,
 )
 from .mesh import (
     MeshVertex,

@@ -11,13 +11,14 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import random
 import sys
 
 from . import render
 from .clusterops import ext1_dim
-from .crossing import crossing_matrix, crossing_number
-from .geometry import InvalidEdgeError, TaggedEdge, parse_edge_list
+from .crossing import crossing_matrix, crossing_number, crossing_row
+from .geometry import InvalidEdgeError, TaggedEdge, enumerate_tagged_edges, parse_edge_list
 from .mesh import morphism_space
 from .suites import DEFAULT_PAIRS_BOUND, SUITES, run_suites
 from .tilted import (
@@ -117,9 +118,16 @@ class SystemExitError(Exception):
     pass
 
 
+def _print_json(obj) -> None:
+    """Print ``json.dumps(obj, indent=2)``, written piece by piece."""
+    write = sys.stdout.write
+    render.write_json(obj, write)
+    write("\n")
+
+
 def cmd_edges(args) -> int:
     if args.format == "json":
-        print(json.dumps(render.edges_json(args.n), indent=2))
+        _print_json(render.edges_json(args.n))
     else:
         print(render.edges_text(args.n))
     return 0
@@ -127,11 +135,13 @@ def cmd_edges(args) -> int:
 
 def cmd_crossings(args) -> int:
     _require_bound(args.n, args.max_pairs, "crossing table", "--max-pairs")
-    table = crossing_matrix(args.n)
     if args.format == "json":
-        print(json.dumps(render.crossing_json(table), indent=2))
+        edges = enumerate_tagged_edges(args.n)
+        write = sys.stdout.write
+        render.write_crossing_json(args.n, edges, (crossing_row(m, edges) for m in edges), write)
+        write("\n")
     else:
-        print(render.crossing_text(table))
+        print(render.crossing_text(crossing_matrix(args.n)))
     return 0
 
 
@@ -140,7 +150,7 @@ def cmd_hom(args) -> int:
     tgt = TaggedEdge.parse(args.n, args.target)
     space = morphism_space(src, tgt)
     if args.format == "json":
-        print(json.dumps(render.hom_json(space), indent=2))
+        _print_json(render.hom_json(space))
     else:
         print(render.hom_text(space, show_basis=args.basis))
         if args.grid:
@@ -176,16 +186,11 @@ def cmd_verify(args) -> int:
                          max_pairs=args.max_pairs)
     ok = all(r.passed for r in results)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "n": args.n,
-                    "passed": ok,
-                    "suites": [r.to_json() for r in results],
-                },
-                indent=2,
-            )
-        )
+        _print_json({
+            "n": args.n,
+            "passed": ok,
+            "suites": [r.to_json() for r in results],
+        })
     else:
         for r in results:
             print(f"[{'PASS' if r.passed else 'FAIL'}] {r.name} (n={r.n}): {r.summary}")
@@ -195,11 +200,8 @@ def cmd_verify(args) -> int:
 def cmd_triangulations(args) -> int:
     tris = enumerate_triangulations(args.n, max_n=args.max_enum)
     if args.format == "json":
-        print(
-            json.dumps(
-                {"n": args.n, "count": len(tris), "triangulations": [str(t).split(",") for t in tris]},
-                indent=2,
-            )
+        _print_json(
+            {"n": args.n, "count": len(tris), "triangulations": [str(t).split(",") for t in tris]}
         )
     else:
         print(f"{len(tris)} triangulations of the punctured {args.n}-gon")
@@ -243,7 +245,7 @@ def cmd_flipwalk(args) -> int:
         })
     out["final"] = str(current).split(",")
     if args.format == "json":
-        print(json.dumps(out, indent=2))
+        _print_json(out)
     else:
         print(f"final: {current}")
     return 0
@@ -262,25 +264,20 @@ def cmd_report(args) -> int:
         print(render.tilted_quiver_dot(tilted))
         return 0
     if args.format == "json":
-        print(
-            json.dumps(
+        _print_json({
+            "n": args.n,
+            "T": [str(e) for e in t.edges],
+            "quiver": render.quiver_json(shown, t),
+            "vanishing_paths": [
                 {
-                    "n": args.n,
-                    "T": [str(e) for e in t.edges],
-                    "quiver": render.quiver_json(shown, t),
-                    "vanishing_paths": [
-                        {
-                            "path": e.path_string(names),
-                            "zero": e.is_zero,
-                        }
-                        for e in vanishing.entries
-                    ],
-                    "boundary_note": "factors on boundary segments contribute 1",
-                    "modules": render.tilted_quiver_json(tilted),
-                },
-                indent=2,
-            )
-        )
+                    "path": e.path_string(names),
+                    "zero": e.is_zero,
+                }
+                for e in vanishing.entries
+            ],
+            "boundary_note": "factors on boundary segments contribute 1",
+            "modules": render.tilted_quiver_json(tilted),
+        })
         return 0
     print(f"triangulation T = {t}")
     print("endomorphism quiver" + (" (op transposed)" if args.no_op else "") + ":")
@@ -309,7 +306,7 @@ def cmd_ar_quiver(args) -> int:
         if args.format == "dot":
             print(render.category_quiver_dot(q))
         elif args.format == "json":
-            print(json.dumps(render.category_quiver_json(q), indent=2))
+            _print_json(render.category_quiver_json(q))
         else:
             print(f"{len(q.vertices)} vertices, {len(q.arrows)} arrows")
             for a, b in q.arrows:
@@ -322,7 +319,7 @@ def cmd_ar_quiver(args) -> int:
     if args.format == "dot":
         print(render.tilted_quiver_dot(q))
     elif args.format == "json":
-        print(json.dumps(render.tilted_quiver_json(q), indent=2))
+        _print_json(render.tilted_quiver_json(q))
     else:
         gabriel = quiver_of_triangulation(t)
         print(f"{len(q.vertices)} modules over End({t})^op")
@@ -347,7 +344,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (e.g. ``| head``).  Point stdout at
+        # devnull so the flush at exit cannot fail again, as the ``signal``
+        # docs recommend, and exit 1 without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (InvalidEdgeError, SystemExitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

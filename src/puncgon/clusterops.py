@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .crossing import crossing_number
+from .crossing import crossing_row
 from .geometry import TaggedEdge, edge_sort_key, elementary_moves, enumerate_tagged_edges, tau
 from .mesh import (
     RowTargets,
@@ -71,21 +71,25 @@ def verify_theorem2(
 ) -> TheoremReport:
     """Check ext1_dim == crossing_number on all n**4 ordered pairs: for
     each m, one Hom row of m over the tau images of all edges, each tau
-    image computed once.
+    image computed once, against one :func:`crossing_row` of m.
 
     ``crossing_fn`` is injectable so the harness itself can be mutation
-    tested against a deliberately corrupted rule.
+    tested against a deliberately corrupted rule; it is applied pair by
+    pair across the row.
     """
     _, hom_row = _hom_engine(method)
-    cross = crossing_fn or crossing_number
+    if crossing_fn is None:
+        cross_row = crossing_row
+    else:
+        def cross_row(m, targets):
+            return [crossing_fn(m, other) for other in targets]
     edges = enumerate_tagged_edges(n)
     shifted = RowTargets(n, map(tau, edges))
     failures = []
     checked = 0
     for m in edges:
-        for other, e1 in zip(edges, hom_row(m, shifted)):
+        for other, e1, cn in zip(edges, hom_row(m, shifted), cross_row(m, edges)):
             checked += 1
-            cn = cross(m, other)
             if e1 != cn:
                 failures.append((str(m), str(other), e1, cn))
     return TheoremReport(n, checked, tuple(failures))

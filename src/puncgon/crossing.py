@@ -28,6 +28,12 @@ mod n and t = (a - c) mod n:
 The first bracket is the translate of the other edge's chord that starts
 inside m's window and ends beyond it, the second the one that starts
 before m's window and ends inside it.
+
+:func:`crossing_row` applies the same closed form from one edge to a
+whole row of targets, with m's start, width and tag read once; the
+crossing table, dimension vectors and the all-pairs check take their
+values from it.  :func:`crossing_number` stays the pairwise reference,
+and the per-edge compatibility masks (computed once per edge) use it.
 """
 
 from __future__ import annotations
@@ -55,6 +61,30 @@ def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
     return (0 < s < w_m and s + w_o > w_m) + (0 < t < w_o and w_o - t < w_m)
 
 
+def crossing_row(m: TaggedEdge, targets) -> list[int]:
+    """``[crossing_number(m, o) for o in targets]``, with m read once."""
+    n, a = m.n, m.start
+    w_m = (m.end - a) % n
+    out = []
+    append = out.append
+    for o in targets:
+        if o.n != n:
+            _require_same_n(m, o)
+        c = o.start
+        w_o = (o.end - c) % n
+        if not w_m:
+            if not w_o:
+                append(1 if (a != c and m.tag != o.tag) else 0)
+            else:
+                append(1 if 0 < (a - c) % n < w_o else 0)
+        elif not w_o:
+            append(1 if 0 < (c - a) % n < w_m else 0)
+        else:
+            s, t = (c - a) % n, (a - c) % n
+            append((0 < s < w_m and s + w_o > w_m) + (0 < t < w_o and w_o - t < w_m))
+    return out
+
+
 @cache
 def _canonical_bits(n: int) -> tuple[tuple[TaggedEdge, ...], dict[TaggedEdge, int]]:
     """The edges of :func:`enumerate_tagged_edges` and the bit of each:
@@ -79,18 +109,12 @@ class CrossingTable:
     edges: tuple[TaggedEdge, ...]
     values: tuple[tuple[int, ...], ...]
 
-    def __getitem__(self, pair):
-        i, j = pair
-        return self.values[i][j]
-
 
 def crossing_matrix(n: int) -> CrossingTable:
     if n < 3:
         raise ValueError(f"polygon size must be >= 3, got n={n}")
     edges = enumerate_tagged_edges(n)
-    values = tuple(
-        tuple(crossing_number(a, b) for b in edges) for a in edges
-    )
+    values = tuple(tuple(crossing_row(a, edges)) for a in edges)
     return CrossingTable(n, tuple(edges), values)
 
 

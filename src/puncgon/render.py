@@ -1,5 +1,11 @@
 """Text, JSON, and DOT renderings of the engine's artifacts.
 
+``ext`` prints compact one-line JSON with ``json.dumps``; every other
+``--format json`` goes through :func:`write_json`, which writes the bytes
+of ``json.dumps(obj, indent=2)`` piece by piece (with ``indent`` set,
+``json`` falls back to its pure-Python encoder), and ``crossings`` writes
+its matrix one row at a time with :func:`write_crossing_json`.
+
 JSON schemas (stable, documented in the README):
 
   edges      {"n", "edges": [{"edge", "position": [i, j]}]}
@@ -15,6 +21,8 @@ JSON schemas (stable, documented in the README):
 
 from __future__ import annotations
 
+from json.encoder import encode_basestring_ascii as _quote
+
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
 from .mesh import MorphismSpace, hom_dim_closed_form
 from .crossing import CrossingTable
@@ -24,6 +32,75 @@ from .tilted import (
     loewy_string,
 )
 from .triangulation import QuiverPresentation, Triangulation
+
+
+def write_json(obj, write) -> None:
+    """Write ``json.dumps(obj, indent=2)`` through ``write``, in pieces.
+
+    Only the CLI's shapes are accepted: dicts with str keys, lists and
+    tuples, str, int, bool and None.  Anything else, floats and
+    ``Fraction`` included, raises ``TypeError``.
+    """
+    _write(obj, write, "\n")
+
+
+def _write(obj, write, nl: str) -> None:
+    """Write obj whose first line is already indented; ``nl`` is the
+    newline and indent of obj's own level."""
+    kind = type(obj)
+    if kind is str:
+        write(_quote(obj))
+    elif kind is int:
+        write(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        write("null" if obj is None else "true" if obj else "false")
+    elif kind is dict:
+        if not obj:
+            write("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"JSON object keys must be str, not {type(key).__name__}")
+            write(sep + _quote(key) + ": ")
+            _write(value, write, inner)
+            sep = "," + inner
+        write(nl + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            write("[]")
+            return
+        inner = nl + "  "
+        first = type(obj[0])
+        if first is int and all(type(x) is int for x in obj):
+            write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+        elif first is str and all(type(x) is str for x in obj):
+            write("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
+        else:
+            sep = "[" + inner
+            for value in obj:
+                write(sep)
+                _write(value, write, inner)
+                sep = "," + inner
+            write(nl + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def write_crossing_json(n: int, edges, rows, write) -> None:
+    """Write ``json.dumps(crossing_json(table), indent=2)`` for the table
+    whose rows ``rows`` yields in turn (at least one), so no more than one
+    row is held."""
+    write('{\n  "n": ' + int.__repr__(n) + ',\n  "edges": ')
+    _write([str(e) for e in edges], write, "\n  ")
+    write(',\n  "matrix": [')
+    sep = "\n    "
+    for row in rows:
+        write(sep)
+        _write(row, write, "\n    ")
+        sep = ",\n    "
+    write("\n  ]\n}")
 
 
 def edges_json(n: int) -> dict:

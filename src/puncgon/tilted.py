@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .crossing import crossing_number
+from .crossing import crossing_row
 from .geometry import (
     TaggedEdge,
     edge_sort_key,
@@ -54,7 +54,7 @@ def dimension_vector(m: TaggedEdge, t: Triangulation) -> DimensionVector:
     members of t, and each coordinate is at most 2."""
     if m.n != t.n:
         raise ValueError(f"edge has n={m.n}, triangulation n={t.n}")
-    return DimensionVector(t.edges, tuple(crossing_number(m, e) for e in t.edges))
+    return DimensionVector(t.edges, tuple(crossing_row(m, t.edges)))
 
 
 @dataclass(frozen=True)

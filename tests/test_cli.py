@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -152,6 +156,33 @@ def test_crossings_pairs_bound(capsys):
             assert code == 2 and out == "" and "--max-pairs" in err, argv
     code, out, _ = run(capsys, "crossings", "--n", "5", "--max-pairs", "5", "--format", "json")
     assert code == 0 and len(json.loads(out)["matrix"]) == 25
+
+
+@pytest.mark.parametrize("argv, keep", [
+    (("crossings", "--n", "20", "--format", "json"), 10),
+    (("crossings", "--n", "20"), 10),
+    (("edges", "--n", "4", "--format", "json"), 0),
+])
+def test_closed_pipe_exits_without_traceback(argv, keep):
+    """A reader that stops early (``| head -c 10``) ends the command with
+    exit code 1 and nothing on stderr.  The tables are far larger than a
+    pipe buffer, so their writes meet the closed pipe; the short edge list
+    still sits in stdout's buffer when the pipe is already closed, so
+    only the flush at the end can fail."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered stdout, as in a shell pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "puncgon.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    head = proc.stdout.read(keep)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert len(head) == keep
+    assert err == "", err
 
 
 def test_verify_pairs_bound_refuses_before_any_suite_runs(capsys, monkeypatch):

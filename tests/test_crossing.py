@@ -1,13 +1,19 @@
+import contextlib
+import io
+import json
 import random
 
 import pytest
 
+from puncgon import render
+from puncgon.cli import main
 from puncgon.crossing import (
     _canonical_bits,
     _compat_mask,
     compatible,
     crossing_matrix,
     crossing_number,
+    crossing_row,
 )
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
 
@@ -61,12 +67,63 @@ def test_random_pairs_beyond_exhaustive_range(n):
         assert value in (0, 1, 2), (m, other)
 
 
+@pytest.mark.parametrize("n", range(3, 17))
+def test_row_kernel_matches_pairwise_reference(n):
+    edges = enumerate_tagged_edges(n)
+    for m in edges:
+        assert crossing_row(m, edges) == [crossing_number(m, o) for o in edges], m
+
+
+@pytest.mark.parametrize("n", range(17, 41))
+def test_row_kernel_on_seeded_sources(n):
+    """The seeded pairs of test_random_pairs_beyond_exhaustive_range: each
+    of the first 40 sources over every edge, and every source over the
+    seeded targets (half of them chords ending where their source ends)."""
+    rng = random.Random(f"crossing:{n}")
+    pairs = []
+    for i in range(600):
+        m, other = _random_edge(rng, n), _random_edge(rng, n)
+        if i % 2:
+            other = TaggedEdge(n, (m.end - rng.randrange(2, n)) % n, m.end)
+        pairs.append((m, other))
+    edges = enumerate_tagged_edges(n)
+    for m, _ in pairs[:40]:
+        assert crossing_row(m, edges) == [crossing_number(m, o) for o in edges], m
+    targets = [other for _, other in pairs]
+    for k, (m, _) in enumerate(pairs):
+        window = targets[k:k + 30]
+        assert crossing_row(m, window) == [crossing_number(m, o) for o in window], m
+
+
+def test_row_kernel_rejects_mixed_n_like_the_pairwise_form():
+    m, alien = TaggedEdge(5, 0, 2), TaggedEdge(6, 0, 2)
+    with pytest.raises(ValueError) as pairwise:
+        crossing_number(m, alien)
+    with pytest.raises(ValueError) as row:
+        crossing_row(m, [TaggedEdge(5, 1, 3), alien])
+    assert str(row.value) == str(pairwise.value)
+    with pytest.raises(ValueError, match="n=5 vs n=6"):
+        crossing_row(TaggedEdge.central(5, 0, -1), [alien])
+
+
+def test_streamed_table_matches_json_dumps():
+    """``crossings --format json`` writes one row at a time; its bytes are
+    those of json.dumps over the whole table (the golden corpus stops at
+    n = 8)."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["crossings", "--n", "24", "--max-pairs", "24", "--format", "json"])
+    assert code == 0
+    want = json.dumps(render.crossing_json(crossing_matrix(24)), indent=2) + "\n"
+    assert buf.getvalue() == want
+
+
 def test_n3_table_matches_case_rules():
     edges = enumerate_tagged_edges(3)
     table = crossing_matrix(3)
     for i, m in enumerate(edges):
         for j, other in enumerate(edges):
-            assert table[i, j] == n3_case_rule_crossing(m, other)
+            assert table.values[i][j] == n3_case_rule_crossing(m, other)
     # row sums against the independent hand count
     for i, m in enumerate(edges):
         assert sum(table.values[i]) == sum(
