@@ -14,13 +14,7 @@ from .geometry import (
     tau,
     tau_power,
 )
-from .crossing import (
-    CrossingTable,
-    compatible,
-    crossing_matrix,
-    crossing_number,
-    crossing_row,
-)
+from .crossing import crossing_number, crossing_row
 from .mesh import (
     MeshVertex,
     Morphism,
@@ -44,7 +38,6 @@ from .triangulation import (
     exchange_sides,
     fan_triangulation,
     flip,
-    is_triangulation,
     maximal_noncrossing_sets,
     quiver_of_triangulation,
 )

@@ -17,7 +17,7 @@ import sys
 
 from . import render
 from .clusterops import ext1_dim
-from .crossing import crossing_matrix, crossing_number, crossing_row
+from .crossing import crossing_number, crossing_row
 from .geometry import InvalidEdgeError, TaggedEdge, enumerate_tagged_edges, parse_edge_list
 from .mesh import morphism_space
 from .suites import DEFAULT_PAIRS_BOUND, SUITES, run_suites
@@ -135,13 +135,14 @@ def cmd_edges(args) -> int:
 
 def cmd_crossings(args) -> int:
     _require_bound(args.n, args.max_pairs, "crossing table", "--max-pairs")
+    edges = enumerate_tagged_edges(args.n)
+    rows = (crossing_row(m, edges) for m in edges)
+    write = sys.stdout.write
     if args.format == "json":
-        edges = enumerate_tagged_edges(args.n)
-        write = sys.stdout.write
-        render.write_crossing_json(args.n, edges, (crossing_row(m, edges) for m in edges), write)
-        write("\n")
+        render.write_crossing_json(args.n, edges, rows, write)
     else:
-        print(render.crossing_text(crossing_matrix(args.n)))
+        render.write_crossing_text(edges, rows, write)
+    write("\n")
     return 0
 
 
@@ -229,7 +230,7 @@ def cmd_flipwalk(args) -> int:
             )
             return 2
         data = exchange_sides(current, edge)
-        current = current.replace(edge, data.inserted)
+        current = data.after
         relation = data.relation_string()
         if args.format == "text":
             print(f"flip {data.removed} -> {data.inserted}: {relation}")

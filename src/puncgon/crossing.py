@@ -38,7 +38,6 @@ and the per-edge compatibility masks (computed once per edge) use it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 
 from .geometry import TaggedEdge, _require_same_n, enumerate_tagged_edges
@@ -99,24 +98,3 @@ def _compat_mask(m: TaggedEdge) -> int:
     cross, its own bit included; computed once per edge."""
     edges, bits = _canonical_bits(m.n)
     return sum(bits[e] for e in edges if crossing_number(m, e) == 0)
-
-
-@dataclass(frozen=True)
-class CrossingTable:
-    """Full crossing-number table over the canonical edge order."""
-
-    n: int
-    edges: tuple[TaggedEdge, ...]
-    values: tuple[tuple[int, ...], ...]
-
-
-def crossing_matrix(n: int) -> CrossingTable:
-    if n < 3:
-        raise ValueError(f"polygon size must be >= 3, got n={n}")
-    edges = enumerate_tagged_edges(n)
-    values = tuple(tuple(crossing_row(a, edges)) for a in edges)
-    return CrossingTable(n, tuple(edges), values)
-
-
-def compatible(m: TaggedEdge, other: TaggedEdge) -> bool:
-    return crossing_number(m, other) == 0

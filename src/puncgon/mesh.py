@@ -23,8 +23,8 @@ Morphism spaces are spaces of paths modulo the mesh ideal (all
 mesh-relation coefficients are +1).  :class:`HomSweep` computes the
 quotient by eliminating column by column (each vertex keeps an explicit
 reduced basis of path classes), which avoids the exponential path blowup
-on wide strips.  The elimination runs over plain ints: every pivot it
-meets is -1 or 1, so each stored projection ``proj`` holds only the ints
+on wide strips.  The elimination is :class:`linalg.IntElim`, over plain
+ints: every pivot it meets is -1 or 1, so each stored projection ``proj`` holds only the ints
 -1, 0 and 1, and a pivot of any other value raises
 :class:`MeshClosureError`.  Composition works in the same ints.  The
 test suite certifies the sweep against a literal oracle that enumerates
@@ -49,6 +49,7 @@ from .geometry import (
     grid_column,
     grid_level,
 )
+from .linalg import IntElim, PivotError
 
 ZqVertex = tuple[int, int]  # (column, level)
 
@@ -220,7 +221,7 @@ class HomSweep:
         col = {u: i for i, u in enumerate(order)}
         # mesh relations: the tau x column of each predecessor's projection
         t = zq_tau(x)
-        reduced: dict[int, list[int]] = {}  # pivot column -> row, reduced echelon form
+        elim = IntElim(total)
         for u in range(self.space(t).dim):
             row = [_ZERO] * total
             for y, off in zip(ins, offs):
@@ -228,25 +229,13 @@ class HomSweep:
                 tcol = ysp.offs[ysp.ins.index(t)] + u
                 for b, prow in enumerate(ysp.proj):
                     row[col[off + b]] = prow[tcol]
-            for p, prow in reduced.items():
-                c = row[p]
-                if c:
-                    for i in range(p, total):
-                        row[i] -= c * prow[i]
-            p = next((i for i, v in enumerate(row) if v), None)
-            if p is None:
-                continue
-            pivot = row[p]
-            if pivot not in (1, -1):
-                raise MeshClosureError(f"mesh relation at vertex {x} has pivot {pivot}, not 1 or -1")
-            if pivot == -1:
-                row = [-v for v in row]
-            for other in reduced.values():
-                c = other[p]
-                if c:
-                    for i in range(p, total):
-                        other[i] -= c * row[i]
-            reduced[p] = row
+            try:
+                elim.add(row)
+            except PivotError as exc:
+                raise MeshClosureError(
+                    f"mesh relation at vertex {x} has pivot {exc.pivot}, not 1 or -1"
+                ) from None
+        reduced = elim.rows  # pivot column -> row, reduced echelon form
         # pivots are the rejected paths; the free columns, ascending, are the basis
         basis = [i for i in reversed(range(total)) if i not in reduced]
         proj = tuple(

@@ -4,7 +4,8 @@
 ``--format json`` goes through :func:`write_json`, which writes the bytes
 of ``json.dumps(obj, indent=2)`` piece by piece (with ``indent`` set,
 ``json`` falls back to its pure-Python encoder), and ``crossings`` writes
-its matrix one row at a time with :func:`write_crossing_json`.
+its matrix one row at a time with :func:`write_crossing_json`; the text
+table streams the same way through :func:`write_crossing_text`.
 
 JSON schemas (stable, documented in the README):
 
@@ -25,7 +26,6 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
 from .mesh import MorphismSpace, hom_dim_closed_form
-from .crossing import CrossingTable
 from .tilted import (
     CategoryQuiver,
     ModuleCategoryQuiver,
@@ -89,9 +89,9 @@ def _write(obj, write, nl: str) -> None:
 
 
 def write_crossing_json(n: int, edges, rows, write) -> None:
-    """Write ``json.dumps(crossing_json(table), indent=2)`` for the table
-    whose rows ``rows`` yields in turn (at least one), so no more than one
-    row is held."""
+    """Write ``json.dumps({"n": n, "edges": [str(e) for e in edges],
+    "matrix": list(rows)}, indent=2)`` with ``rows`` yielding at least one
+    row, so no more than one row is held."""
     write('{\n  "n": ' + int.__repr__(n) + ',\n  "edges": ')
     _write([str(e) for e in edges], write, "\n  ")
     write(',\n  "matrix": [')
@@ -117,24 +117,16 @@ def edges_text(n: int) -> str:
     return "\n".join(lines)
 
 
-def crossing_json(table: CrossingTable) -> dict:
-    return {
-        "n": table.n,
-        "edges": [str(e) for e in table.edges],
-        "matrix": [list(row) for row in table.values],
-    }
-
-
-def crossing_text(table: CrossingTable) -> str:
-    labels = [str(e) for e in table.edges]
+def write_crossing_text(edges, rows, write) -> None:
+    """Write the crossing table as right-aligned text, a header of edge
+    labels and then one labelled line per row of ``rows``; only the
+    labels' width is needed up front, so no more than one row is held.
+    No newline follows the last line."""
+    labels = [str(e) for e in edges]
     width = max(len(s) for s in labels)
-    head = " " * (width + 1) + " ".join(s.rjust(width) for s in labels)
-    lines = [head]
-    for label, row in zip(labels, table.values):
-        lines.append(
-            label.rjust(width) + " " + " ".join(str(v).rjust(width) for v in row)
-        )
-    return "\n".join(lines)
+    write(" " * (width + 1) + " ".join(s.rjust(width) for s in labels))
+    for label, row in zip(labels, rows):
+        write("\n" + label.rjust(width) + " " + " ".join(str(v).rjust(width) for v in row))
 
 
 def hom_json(space: MorphismSpace) -> dict:

@@ -6,12 +6,19 @@ one cached bitmask per edge from :mod:`crossing`: bit i is set iff the
 edge does not cross the i-th edge of the canonical order.  Every maximal
 non-crossing set has exactly n elements; the enumeration below does not
 assume this (it collects maximal sets of any size), so the size law
-stays independently falsifiable.  Exchange factors are the
-indecomposable summands of minimal right approximations over the rest of
-the triangulation; they and the Gabriel quiver arrows are both read off
-the same kernel, the span of compositions through the other members
-inside an explicit Hom basis.  The test suite certifies the factors
-against a separate brute-force approximation search.
+stays independently falsifiable.
+
+Exchange factors are the indecomposable summands of minimal right
+approximations over the rest of the triangulation, and those are the
+arrows of the Gabriel quiver: the side factors of a flip of m are the
+arrows into m in the quiver of T, the coside factors the arrows into
+its partner m' in the quiver of the flipped T'.  So the factors, the
+quiver and its chosen arrow representatives all come from one kernel,
+:func:`_arrows`: dim Hom(a, b) minus the rank of the compositions
+through the other members, spanned in plain ints by
+:class:`linalg.IntElim` over an explicit Hom basis.  A pivot other than
+-1 or 1 there raises :class:`ExchangeError`.  The test suite certifies
+the factors against a separate brute-force approximation search.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from dataclasses import dataclass
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
 from .geometry import TaggedEdge, edge_sort_key, tau
-from .linalg import FractionElim
+from .linalg import IntElim, PivotError
 from .mesh import Morphism, compose, morphism_space
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -115,18 +122,6 @@ def _lowest_edge(n: int, bitset: int) -> TaggedEdge:
     return _canonical_bits(n)[0][(bitset & -bitset).bit_length() - 1]
 
 
-def is_triangulation(edges) -> bool:
-    """True iff the set is pairwise non-crossing and maximal: the edges
-    compatible with every member are exactly the members."""
-    edges = list(edges)
-    if not edges:
-        return False
-    n = edges[0].n
-    if any(e.n != n for e in edges):
-        return False
-    return _common(edges) == _bits_of(edges)
-
-
 def fan_triangulation(n: int, base: int = 0) -> Triangulation:
     """All chords out of the base vertex plus both tagged radii there."""
     edges = [TaggedEdge.central(n, base, 1), TaggedEdge.central(n, base, -1)]
@@ -219,10 +214,7 @@ class ExchangeData:
     inserted: TaggedEdge
     side_factors: tuple[TaggedEdge, ...]
     coside_factors: tuple[TaggedEdge, ...]
-
-    @property
-    def has_boundary_side(self) -> bool:
-        return not self.side_factors or not self.coside_factors
+    after: Triangulation  # the flipped triangulation, validated once by flip
 
     def relation_string(self) -> str:
         def prod(factors):
@@ -234,65 +226,61 @@ class ExchangeData:
         )
 
 
-def _composite_span(a: TaggedEdge, b: TaggedEdge, through) -> FractionElim:
-    """Span, inside Hom(a, b) in its flat coordinates, of the compositions
-    a -> c -> b over every c in ``through``.  It stops as soon as the span
-    is all of Hom(a, b): past that point only its rank is read, and no
-    further composition can change it."""
+def _extend(span: IntElim, vec, a: TaggedEdge, b: TaggedEdge) -> bool:
+    """``span.add(vec)`` for a span inside Hom(a, b); a pivot other than -1
+    or 1 would make the integer span inexact, so it raises."""
+    try:
+        return span.add(vec)
+    except PivotError as exc:
+        raise ExchangeError(
+            f"compositions {a} -> {b} have pivot {exc.pivot}, not 1 or -1"
+        ) from None
+
+
+def _arrows(a: TaggedEdge, b: TaggedEdge, members) -> tuple[int, IntElim]:
+    """Arrows a -> b in the Gabriel quiver of the endomorphism algebra of
+    ``members``: dim Hom(a, b) minus the rank of the span of compositions
+    a -> c -> b through every other member c.  Returns the count and the
+    span, in the flat coordinates of Hom(a, b).  Composing stops as soon
+    as the span is all of Hom(a, b): past that point only its rank is
+    read, and no further composition can change it."""
     space = morphism_space(a, b)
     full = space.total_dim
-    elim = FractionElim(full)
-    for c in through:
+    span = IntElim(full)
+    for c in members:
+        if span.rank == full:
+            break
+        if c in (a, b):
+            continue
         gs = morphism_space(c, b).basis()
         for f in morphism_space(a, c).basis():
             for g in gs:
-                elim.add(space.flatten(compose(f, g)))
-                if elim.rank == full:
-                    return elim
-    return elim
-
-
-def _top_multiplicities(
-    context: list[TaggedEdge], target: TaggedEdge
-) -> dict[TaggedEdge, int]:
-    """Multiplicity of each context edge in the minimal right approximation
-    of the target: the part of Hom(C, target) not reached by compositions
-    through the other context edges."""
-    mult: dict[TaggedEdge, int] = {}
-    for c in context:
-        dim = morphism_space(c, target).total_dim
-        if dim == 0:
-            continue
-        top = dim - _composite_span(c, target, [d for d in context if d != c]).rank
-        if top:
-            mult[c] = top
-    return mult
-
-
-def _factors_tuple(multiset: dict[TaggedEdge, int]) -> tuple[TaggedEdge, ...]:
-    out: list[TaggedEdge] = []
-    for e in sorted(multiset, key=edge_sort_key):
-        out.extend([e] * multiset[e])
-    return tuple(out)
+                _extend(span, space.flatten(compose(f, g)), a, b)
+                if span.rank == full:
+                    return 0, span
+    return full - span.rank, span
 
 
 def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
     """Flip m in t and return the factors of its exchange relation.
 
     The side factors are the summands of the minimal right approximation
-    of m over t minus m, and the coside factors those of its flip partner.
+    of m over t minus m, and the coside factors those of its flip partner
+    m': the arrows into m in the quiver of t, and the arrows into m' in
+    the quiver of the flipped triangulation, counted with multiplicity.
     The result is checked for the combinatorics of the exchange
     quadrilateral (at most three factors per side, an empty side exactly
     in the translate case, factors in t crossing neither diagonal); a
     failure raises :class:`ExchangeError`.
     """
-    _, inserted = flip(t, m)
+    after, inserted = flip(t, m)
     if crossing_number(m, inserted) != 1:
         raise ExchangeError(f"flip pair {m}, {inserted} has e != 1")
     context = [e for e in t.edges if e != m]
-    sides = _top_multiplicities(context, m)
-    cosides = _top_multiplicities(context, inserted)
-    data = ExchangeData(m, inserted, _factors_tuple(sides), _factors_tuple(cosides))
+    # context is in edge_sort_key order, as every Triangulation's edges are
+    sides = tuple(c for c in context for _ in range(_arrows(c, m, t.edges)[0]))
+    cosides = tuple(c for c in context for _ in range(_arrows(c, inserted, after.edges)[0]))
+    data = ExchangeData(m, inserted, sides, cosides, after)
     for factors, tgt, other in (
         (data.side_factors, m, inserted),
         (data.coside_factors, inserted, m),
@@ -341,22 +329,16 @@ def quiver_with_representatives(
         for j, b in enumerate(verts):
             if i == j:
                 continue
-            space = morphism_space(a, b)
-            dim = space.total_dim
-            if dim == 0:
-                continue
-            elim = _composite_span(a, b, [c for c in verts if c not in (a, b)])
-            mult = dim - elim.rank
+            mult, span = _arrows(a, b, verts)
             if mult == 0:
                 continue
-            chosen = []
-            for idx, mor in enumerate(space.basis()):
-                if elim.add([int(i == idx) for i in range(dim)]):
-                    chosen.append(mor)
-                    if len(chosen) == mult:
-                        break
+            # the basis elements whose unit vectors extend the span, in order
+            basis = morphism_space(a, b).basis()
+            reps[(i, j)] = [
+                mor for k, mor in enumerate(basis)
+                if _extend(span, [int(k == x) for x in range(span.width)], a, b)
+            ]
             arrows.append((i, j, mult))
-            reps[(i, j)] = chosen
     return QuiverPresentation(tuple(verts), tuple(arrows)), reps
 
 

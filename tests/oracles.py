@@ -398,10 +398,15 @@ def mutation_mismatches(t: Triangulation, m: TaggedEdge) -> list[str]:
     renamed to its flip partner: b'[x, y] = -b[x, y] when m is x or y, and
     b[x, y] + sign(b[x, m]) * max(b[x, m] * b[m, y], 0) otherwise.  The
     side factors of the exchange relation must be the arrows into m and
-    the coside factors the arrows out of m, counted with multiplicity."""
+    the coside factors the arrows out of m, counted with multiplicity.
+
+    The package reads the side factors and the quiver off one arrow
+    kernel, so the side-factor comparison is circular: it only checks
+    that the two callers agree.  The mutation of b and the brute-force
+    :func:`minimal_approximation` stay independent of that kernel."""
     b = exchange_matrix(t)
     data = exchange_sides(t, m)
-    after = exchange_matrix(t.replace(m, data.inserted))
+    after = exchange_matrix(data.after)
     out = []
     for (x, y), v in b.items():
         if m in (x, y):

@@ -8,6 +8,7 @@ import pytest
 
 from puncgon.cli import main
 from puncgon.suites import DEFAULT_PAIRS_BOUND, PAIR_SUITES, SUITES, SuiteResult
+from puncgon.triangulation import Triangulation
 
 
 def run(capsys, *argv):
@@ -269,6 +270,24 @@ def test_flipwalk_random_seeded_deterministic(capsys):
     data = json.loads(out1)
     assert len(data["steps"]) == 8
     assert all(len(s["triangulation"]) == 5 for s in data["steps"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_flipwalk_validates_each_triangulation_once(capsys, monkeypatch, fmt):
+    """A k-flip walk builds (and so validates) 1 + k triangulations: its
+    start, and the one each flip builds, which the walk then carries on
+    from."""
+    real = Triangulation.__post_init__
+    built = []
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(Triangulation, "__post_init__", counted)
+    code, _, _ = run(capsys, "flipwalk", "--n", "8", "--T", "0-2,0-3,0-4,0-5,0-6,0-7,0|+,0|-",
+                     "--random", "12", "--seed", "5", "--format", fmt)
+    assert code == 0 and len(built) == 13
 
 
 def test_flipwalk_long_random_walk_stays_valid(capsys):

@@ -5,19 +5,18 @@ import random
 
 import pytest
 
-from puncgon import render
 from puncgon.cli import main
-from puncgon.crossing import (
-    _canonical_bits,
-    _compat_mask,
-    compatible,
-    crossing_matrix,
-    crossing_number,
-    crossing_row,
-)
+from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number, crossing_row
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
 
 from oracles import lift_scan_crossing, n3_case_rule_crossing
+
+
+def crossing_table(n):
+    """The full table over the canonical edge order, pair by pair from
+    the reference ``crossing_number``."""
+    edges = enumerate_tagged_edges(n)
+    return tuple(tuple(crossing_number(m, o) for o in edges) for m in edges)
 
 
 def test_central_central_rule():
@@ -114,19 +113,36 @@ def test_streamed_table_matches_json_dumps():
     with contextlib.redirect_stdout(buf):
         code = main(["crossings", "--n", "24", "--max-pairs", "24", "--format", "json"])
     assert code == 0
-    want = json.dumps(render.crossing_json(crossing_matrix(24)), indent=2) + "\n"
-    assert buf.getvalue() == want
+    edges = enumerate_tagged_edges(24)
+    table = {"n": 24, "edges": [str(e) for e in edges], "matrix": crossing_table(24)}
+    assert buf.getvalue() == json.dumps(table, indent=2) + "\n"
+
+
+def test_streamed_text_table_matches_whole_rendering():
+    """``crossings`` (text) writes the header from the labels' width and
+    then one row at a time; its bytes are those of the table rendered
+    whole, with every label and value right-aligned to the widest label."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["crossings", "--n", "24", "--max-pairs", "24"])
+    assert code == 0
+    labels = [str(e) for e in enumerate_tagged_edges(24)]
+    width = max(len(s) for s in labels)
+    lines = [" " * (width + 1) + " ".join(s.rjust(width) for s in labels)]
+    for label, row in zip(labels, crossing_table(24)):
+        lines.append(label.rjust(width) + " " + " ".join(str(v).rjust(width) for v in row))
+    assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 def test_n3_table_matches_case_rules():
     edges = enumerate_tagged_edges(3)
-    table = crossing_matrix(3)
+    table = crossing_table(3)
     for i, m in enumerate(edges):
         for j, other in enumerate(edges):
-            assert table.values[i][j] == n3_case_rule_crossing(m, other)
+            assert table[i][j] == n3_case_rule_crossing(m, other)
     # row sums against the independent hand count
     for i, m in enumerate(edges):
-        assert sum(table.values[i]) == sum(
+        assert sum(table[i]) == sum(
             n3_case_rule_crossing(m, other) for other in edges
         )
 
@@ -157,22 +173,17 @@ def test_shared_endpoint_properties(n):
 
 
 def test_matrix_shape_and_symmetry():
-    t = crossing_matrix(4)
-    assert len(t.values) == 16 and all(len(r) == 16 for r in t.values)
-    assert t.values == tuple(zip(*t.values))
-    assert all(t.values[i][i] == 0 for i in range(16))
+    t = crossing_table(4)
+    assert len(t) == 16 and all(len(r) == 16 for r in t)
+    assert t == tuple(zip(*t))
+    assert all(t[i][i] == 0 for i in range(16))
     with pytest.raises(ValueError):
-        crossing_matrix(2)
+        crossing_table(2)
 
 
 def test_rejects_mixed_n():
     with pytest.raises(ValueError):
         crossing_number(TaggedEdge(5, 0, 2), TaggedEdge(6, 0, 2))
-
-
-def test_compatible_helper():
-    assert compatible(TaggedEdge(6, 0, 2), TaggedEdge(6, 0, 3))
-    assert not compatible(TaggedEdge(6, 0, 2), TaggedEdge(6, 1, 3))
 
 
 @pytest.mark.parametrize("n", range(3, 10))

@@ -7,18 +7,18 @@ import pytest
 
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
-from puncgon import suites
+from puncgon import suites, triangulation
+from puncgon.linalg import FractionElim, IntElim
 from puncgon.suites import suite_lemma3
 from puncgon.mesh import compose, morphism_space
 from puncgon.triangulation import (
     ExchangeError,
     Triangulation,
-    _composite_span,
+    _arrows,
     enumerate_triangulations,
     exchange_sides,
     fan_triangulation,
     flip,
-    is_triangulation,
     maximal_noncrossing_sets,
     quiver_of_triangulation,
 )
@@ -43,18 +43,16 @@ def test_fan_shape():
         "0-2", "0-3", "0-4", "0-5", "0-6", "0-7", "0|+", "0|-",
     }
     assert len(t.edges) == 8
-    assert is_triangulation(t.edges)
+    assert Triangulation.of(t.edges).edges == t.edges
 
 
 def test_all_radii_triangulation():
     for tag in (1, -1):
         edges = [TaggedEdge.central(5, a, tag) for a in range(5)]
-        assert is_triangulation(edges)
-        Triangulation.of(edges)
+        assert set(Triangulation.of(edges).edges) == set(edges)
 
 
 def test_single_edge_not_maximal():
-    assert not is_triangulation([TaggedEdge(5, 0, 2)])
     with pytest.raises(ValueError) as info:
         Triangulation.of([TaggedEdge(5, 0, 2)])
     assert str(info.value) == "set is not maximal: 0-3 is compatible with every member"
@@ -192,7 +190,7 @@ def test_seeded_flip_walk_large_n(n, seed):
         m = rng.choice(t.edges)
         t2, new = flip(t, m)
         assert crossing_number(m, new) == 1
-        assert new not in t.edges and is_triangulation(t2.edges)
+        assert new not in t.edges and Triangulation.of(t2.edges).edges == t2.edges
         t3, back = flip(t2, new)
         assert back == m and t3.edges == t.edges
         t = t2
@@ -311,7 +309,7 @@ def test_exchange_factors_match_approximation_search_on_walks(n, seed):
         m = rng.choice(t.edges)
         data = exchange_sides(t, m)
         assert oracle_disagreements(t, data) == [], (str(t), str(m))
-        t = t.replace(m, data.inserted)
+        t = data.after
 
 
 def test_approximation_oracle_rejects_corrupted_factors():
@@ -356,7 +354,7 @@ def test_exchange_boundary_side_relation_renders_as_one():
         ]
     )
     data = exchange_sides(t, TaggedEdge(3, 0, 2))
-    assert data.has_boundary_side
+    assert not data.side_factors or not data.coside_factors
     assert "= 1 +" in data.relation_string() or "+ 1" in data.relation_string()
 
 
@@ -409,10 +407,11 @@ def test_mutation_oracle_rejects_swapped_sides(monkeypatch):
     assert mutation_mismatches(t, m) != []
 
 
-@pytest.mark.parametrize("n", range(3, 7))
-def test_composite_span_stops_at_the_full_rank(n):
-    """The span stops once it is all of Hom(a, b); its rank is still the
-    rank of every composition a -> c -> b through the other members."""
+def composite_span_inputs(n):
+    """For every ordered pair a != b of members of every triangulation of
+    the n-gon: the triangulation, the pair and the flat coordinates in
+    Hom(a, b) of every composition a -> c -> b through another member c,
+    in the order the arrow kernel composes them."""
     products = {}
 
     def through(a, c, b):
@@ -428,8 +427,48 @@ def test_composite_span_stops_at_the_full_rank(n):
     for t in enumerate_triangulations(n):
         for a in t.edges:
             for b in t.edges:
-                if a == b:
-                    continue
-                others = [c for c in t.edges if c not in (a, b)]
-                rows = [row for c in others for row in through(a, c, b)]
-                assert _composite_span(a, b, others).rank == int_rank(rows), (str(t), a, b)
+                if a != b:
+                    yield t, a, b, [row for c in t.edges if c not in (a, b) for row in through(a, c, b)]
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_composite_span_stops_at_the_full_rank(n):
+    """The span stops once it is all of Hom(a, b); its rank is still the
+    rank of every composition a -> c -> b through the other members."""
+    for t, a, b, rows in composite_span_inputs(n):
+        mult, span = _arrows(a, b, t.edges)
+        assert span.rank == int_rank(rows), (str(t), a, b)
+        assert mult == morphism_space(a, b).total_dim - span.rank
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_integer_span_matches_the_rational_reference(n):
+    """Fed every composition of every composite span in turn, the integer
+    elimination accepts the same vectors as FractionElim and keeps the
+    same reduced echelon rows at the same pivot columns."""
+    for t, a, b, rows in composite_span_inputs(n):
+        width = morphism_space(a, b).total_dim
+        ints, fracs = IntElim(width), FractionElim(width)
+        for row in rows:
+            assert ints.add(row) == fracs.add(row), (str(t), a, b)
+            assert ints.rank == fracs.rank
+            assert sorted(ints.rows.items()) == fracs.pivots, (str(t), a, b)
+
+
+def test_composite_span_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
+    """The integrality check: with the first coefficient of every
+    composite doubled, the first nonzero composite the arrow kernel meets
+    (here on the coside, into the inserted 2-6) has pivot 2, and the
+    error names the pair."""
+
+    def doubled(f, g):
+        mor = compose(f, g)
+        for key in sorted(mor.coeffs)[:1]:
+            mor.coeffs[key] *= 2
+        return mor
+
+    monkeypatch.setattr(triangulation, "compose", doubled)
+    t, m = left_figure()
+    with pytest.raises(ExchangeError) as info:
+        exchange_sides(t, m)
+    assert str(info.value) == "compositions 6-0 -> 2-6 have pivot 2, not 1 or -1"
