@@ -18,6 +18,13 @@ reported by code on failure:
       least 3 vertices (end is never the counterclockwise neighbor of
       start).
 
+Edges are interned: each (n, start, end, tag) is validated once, when it
+is first built, and every later construction, copy or unpickling returns
+that same object.  So ``==`` and ``hash`` are object identity, the
+C-level slots of ``object``, in every set and dict that holds edges.  The
+table keeps the n**2 edges of every polygon size built so far and is
+never freed.
+
 Serialized forms are ``"a-b"`` for plain edges and ``"a|+"`` / ``"a|-"``
 for central edges; positions print as ``"(i,j)"``.
 """
@@ -63,35 +70,62 @@ def delta_len(n: int, a: Vertex, b: Vertex) -> int:
     return ((b - a - 1) % n) + 2
 
 
-@dataclass(frozen=True)
+def _validate(n: int, start: Vertex, end: Vertex, tag: int) -> None:
+    """Conditions E1-E4 on the fields of a tagged edge.  Each field must be
+    an int: the first edge built for a key is the one every equal key
+    returns, so a float must not get into the table."""
+    if not all(isinstance(v, int) for v in (n, start, end)):
+        raise InvalidEdgeError("E1", f"n and vertices must be integers, got {n}, {start}, {end}")
+    if n < 3:
+        raise InvalidEdgeError("E1", f"polygon size must be >= 3, got n={n}")
+    if not (0 <= start < n and 0 <= end < n):
+        raise InvalidEdgeError("E1", f"vertices must lie in 0..{n - 1}, got ({start}, {end})")
+    if not isinstance(tag, int) or tag not in (1, -1):
+        raise InvalidEdgeError("E2", f"tag must be +1 or -1, got {tag}")
+    if start != end:
+        if tag != 1:
+            raise InvalidEdgeError("E3", f"plain edge {start}-{end} must have tag +1")
+        if delta_len(n, start, end) < 3:
+            raise InvalidEdgeError(
+                "E4",
+                f"invalid edge {start}-{end}: end is the counterclockwise "
+                "neighbor of start, boundary span must be at least 3",
+            )
+
+
+# The interned edges, keyed by (n, start, end, tag); never freed.
+_EDGES: dict[tuple[int, int, int, int], "TaggedEdge"] = {}
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class TaggedEdge:
-    """One of the n**2 tagged edges of the punctured n-gon."""
+    """One of the n**2 tagged edges of the punctured n-gon.
+
+    Interned: ``TaggedEdge(n, start, end, tag)`` returns the one instance
+    for those fields, validated when it is first built, so ``==`` and
+    ``hash`` are object identity.  ``__new__`` sets the fields, on a miss
+    only; hence ``init=False``, since a dataclass ``__init__`` would set
+    them again on every construction.
+    """
 
     n: int
     start: Vertex
     end: Vertex
     tag: int = 1
 
-    def __post_init__(self):
-        if self.n < 3:
-            raise InvalidEdgeError("E1", f"polygon size must be >= 3, got n={self.n}")
-        if not (0 <= self.start < self.n and 0 <= self.end < self.n):
-            raise InvalidEdgeError(
-                "E1", f"vertices must lie in 0..{self.n - 1}, got ({self.start}, {self.end})"
-            )
-        if self.tag not in (1, -1):
-            raise InvalidEdgeError("E2", f"tag must be +1 or -1, got {self.tag}")
-        if self.start != self.end:
-            if self.tag != 1:
-                raise InvalidEdgeError(
-                    "E3", f"plain edge {self.start}-{self.end} must have tag +1"
-                )
-            if delta_len(self.n, self.start, self.end) < 3:
-                raise InvalidEdgeError(
-                    "E4",
-                    f"invalid edge {self.start}-{self.end}: end is the counterclockwise "
-                    "neighbor of start, boundary span must be at least 3",
-                )
+    def __new__(cls, n: int, start: Vertex, end: Vertex, tag: int = 1) -> "TaggedEdge":
+        key = (n, start, end, tag)
+        edge = _EDGES.get(key)
+        if edge is None:
+            _validate(n, start, end, tag)
+            edge = object.__new__(cls)
+            for name, value in zip(("n", "start", "end", "tag"), key):
+                object.__setattr__(edge, name, value)
+            edge = _EDGES.setdefault(key, edge)
+        return edge
+
+    def __reduce__(self):
+        return TaggedEdge, (self.n, self.start, self.end, self.tag)
 
     @property
     def is_central(self) -> bool:
@@ -273,6 +307,9 @@ def pos_inv(n: int, p: Position | tuple[int, int], base: Vertex = 0) -> TaggedEd
 
 
 def parse_edge_list(n: int, text: str) -> list[TaggedEdge]:
-    """Parse a comma-separated list of edge strings."""
-    items = [part for part in (p.strip() for p in text.split(",")) if part]
+    """Parse a comma-separated list of edge strings.  An empty item (as in
+    ``"0-2,,0-3"`` or a trailing comma) is rejected, not skipped."""
+    items = text.split(",")
+    if not all(part.strip() for part in items):
+        raise InvalidEdgeError("E1", f"empty item in edge list {text!r}")
     return [TaggedEdge.parse(n, part) for part in items]

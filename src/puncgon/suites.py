@@ -206,12 +206,14 @@ SUITES = {
 def run_suites(names: list[str], n: int, method: str = "closed",
                max_enum: int = DEFAULT_LEMMA3_BOUND,
                max_pairs: int = DEFAULT_PAIRS_BOUND) -> list[SuiteResult]:
-    """Run the named suites in order.  Every name, the lemma3 bound and
-    the bound of the all-pairs suites are checked before the first suite
-    runs."""
-    for name in names:
+    """Run the named suites in order.  Every name (known, and given only
+    once), the lemma3 bound and the bound of the all-pairs suites are
+    checked before the first suite runs."""
+    for i, name in enumerate(names):
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+        if name in names[:i]:
+            raise ValueError(f"suite {name!r} is named more than once")
     if "lemma3" in names:
         _require_bound(n, max_enum)
     if any(name in PAIR_SUITES for name in names):

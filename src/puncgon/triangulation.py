@@ -23,6 +23,7 @@ the factors against a separate brute-force approximation search.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
@@ -44,41 +45,50 @@ class Triangulation:
 
     Always has exactly n elements; the constructor enforces this and
     rejects an edge listed twice, and the enumeration suite re-derives
-    the size without assuming it.  Every construction validates with
-    O(n) mask operations: the first crossing pair in canonical order is
-    reported, and the set is maximal iff the AND of the member masks is
-    the members' own bits.
+    the size without assuming it.  Every construction validates with one
+    walk over the members' bitset in canonical order, which is also the
+    order the edges are stored in: the first crossing pair in that order
+    is reported, and the set is maximal iff the AND of the member masks
+    is the members' own bits.  The bitset stays on the instance as
+    ``_members``; it is not a field, so ``==``, ``hash`` and ``repr``
+    read only n and the edges.
     """
 
     n: int
     edges: tuple[TaggedEdge, ...]
 
     def __post_init__(self):
-        edges = tuple(sorted(self.edges, key=edge_sort_key))
-        seen: set[TaggedEdge] = set()
-        for e in edges:
-            if e in seen:
-                raise ValueError(f"edge {e} is listed more than once")
-            seen.add(e)
-        object.__setattr__(self, "edges", edges)
-        for e in edges:
-            if e.n != self.n:
-                raise ValueError(f"edge {e} belongs to n={e.n}, not n={self.n}")
-        bits = _canonical_bits(self.n)[1]
-        members = _bits_of(edges)
-        for a in edges:
-            crossed = members & -bits[a] & ~_compat_mask(a)  # later members a crosses
+        n = self.n
+        # below n = 3 there are no edges, so every listed edge is foreign
+        order, bits = _canonical_bits(n) if n >= 3 else ((), {})
+        given, members = tuple(self.edges), 0
+        for e in given:
+            bit = bits.get(e, 0)
+            if not bit or members & bit:
+                _reject_listing(n, given)
+            members |= bit
+        edges, common, rest = [], -1, members
+        while rest:
+            low = rest & -rest
+            a = order[low.bit_length() - 1]
+            mask = _compat_mask(a)
+            crossed = rest & ~mask  # later members a crosses
             if crossed:
-                b = _lowest_edge(self.n, crossed)
+                b = _lowest_edge(n, crossed)
                 raise ValueError(f"edges {a} and {b} cross (e={crossing_number(a, b)})")
-        missing = _common(edges) & ~members
+            common &= mask
+            edges.append(a)
+            rest ^= low
+        missing = common & ~members
         if missing:
-            e = _lowest_edge(self.n, missing)
+            e = _lowest_edge(n, missing)
             raise ValueError(f"set is not maximal: {e} is compatible with every member")
-        if len(edges) != self.n:
+        if len(edges) != n:
             raise ValueError(
-                f"maximal non-crossing set of unexpected size {len(edges)} != {self.n}"
+                f"maximal non-crossing set of unexpected size {len(edges)} != {n}"
             )
+        object.__setattr__(self, "edges", tuple(edges))
+        object.__setattr__(self, "_members", members)
 
     @classmethod
     def of(cls, edges) -> "Triangulation":
@@ -88,7 +98,7 @@ class Triangulation:
         return cls(edges[0].n, tuple(edges))
 
     def __contains__(self, e: TaggedEdge) -> bool:
-        return e in self.edges
+        return bool(self._members & _canonical_bits(self.n)[1].get(e, 0))
 
     def __iter__(self):
         return iter(self.edges)
@@ -100,13 +110,15 @@ class Triangulation:
         return Triangulation(self.n, tuple(e for e in self.edges if e != old) + (new,))
 
 
-def _bits_of(edges) -> int:
-    """The set of edges (all of one polygon) as a bitset over the
-    canonical order."""
-    out = 0
-    for e in edges:
-        out |= _canonical_bits(e.n)[1][e]
-    return out
+def _reject_listing(n: int, edges) -> None:
+    """Raise for an edge listed twice, or else for an edge of another
+    polygon: the first such edge in :func:`edge_sort_key` order."""
+    counts = Counter(edges)
+    twice = [e for e in edges if counts[e] > 1]
+    if twice:
+        raise ValueError(f"edge {min(twice, key=edge_sort_key)} is listed more than once")
+    e = min((e for e in edges if e.n != n), key=edge_sort_key)
+    raise ValueError(f"edge {e} belongs to n={e.n}, not n={n}")
 
 
 def _common(edges) -> int:
@@ -193,7 +205,7 @@ def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     """
     if m not in t:
         raise ValueError(f"edge {m} is not in the triangulation")
-    free = _common(e for e in t.edges if e != m) & ~_bits_of(t.edges)
+    free = _common(e for e in t.edges if e != m) & ~t._members
     if free.bit_count() != 1:
         raise ExchangeError(f"flip of {m} in {t} has {free.bit_count()} completions, expected 1")
     new = _lowest_edge(t.n, free)

@@ -105,6 +105,15 @@ def test_verify_refuses_the_whole_request_before_any_suite_runs(capsys, monkeypa
         assert ("--max-enum" if suites.endswith("lemma3") else "unknown suite") in err
 
 
+def test_verify_refuses_a_repeated_suite(capsys, monkeypatch):
+    called = []
+    monkeypatch.setitem(SUITES, "lemma3", lambda n, **options: called.append(n))
+    for suites in ("lemma3,lemma3", "lemma2,lemma3, lemma3"):
+        code, out, err = run(capsys, "verify", "--n", "4", "--suite", suites)
+        assert (code, out, called) == (2, "", []), suites
+        assert "error: suite 'lemma3' is named more than once" in err
+
+
 def test_invalid_edge_names_condition_e4(capsys):
     code, _, err = run(capsys, "hom", "--n", "6", "--source", "0-1",
                        "--target", "0-2")
@@ -236,6 +245,18 @@ def test_flipwalk_rejects_crossing_start(capsys):
                          "0-2,1-3,0-3,0|+,0|-")
     assert code == 2 and out == ""
     assert "edges 0-2 and 1-3 cross (e=1)" in err
+
+
+@pytest.mark.parametrize("flag, edges", [
+    ("--T", "0|+,0|-,0-2,0-3,0-4,,"),
+    ("--T", "0|+,,0|-,0-2,0-3,0-4"),
+    ("--script", "0-2, ,0-3"),
+])
+def test_flipwalk_rejects_empty_edge_items(capsys, flag, edges):
+    argv = ["flipwalk", "--n", "5", "--T", "0|+,0|-,0-2,0-3,0-4", flag, edges]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: empty item in edge list {edges!r}" in err
 
 
 def test_flipwalk_unknown_edge(capsys):

@@ -1,7 +1,11 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
 
+from puncgon import geometry
 from puncgon.geometry import (
     InvalidEdgeError,
     Position,
@@ -77,6 +81,52 @@ def test_validation_codes():
     with pytest.raises(InvalidEdgeError) as e4:
         TaggedEdge(5, 0, 1)
     assert e4.value.code == "E4"
+
+
+def test_edges_are_interned():
+    m = TaggedEdge(5, 0, 2)
+    assert m is TaggedEdge.parse(5, "0-2") is TaggedEdge(n=5, start=0, end=2, tag=1)
+    assert TaggedEdge.central(5, 3, -1) is TaggedEdge.parse(5, "3|-")
+    for e in enumerate_tagged_edges(5):
+        assert tau_power(e, 10) is e
+        assert copy.copy(e) is e
+        assert copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.deepcopy([m, {m: (m,)}]) == [m, {m: (m,)}]
+
+
+def test_replace_validates_interned_edges():
+    plain = TaggedEdge(5, 0, 2)
+    with pytest.raises(InvalidEdgeError) as e3:
+        dataclasses.replace(plain, tag=-1)
+    assert e3.value.code == "E3"
+    assert dataclasses.replace(plain, end=3) is TaggedEdge(5, 0, 3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plain.end = 3
+
+
+def test_invalid_edge_leaves_no_table_entry():
+    size = len(geometry._EDGES)
+    for fields in [(5, 0, 5), (5, 0, 0, 2), (5, 0, 2, -1), (5, 0, 1), (2, 0, 0), (7, 3, 4)]:
+        with pytest.raises(InvalidEdgeError):
+            TaggedEdge(*fields)
+        assert fields + (1,) * (4 - len(fields)) not in geometry._EDGES
+    assert len(geometry._EDGES) == size
+    # a float that equals an int field must not become the interned edge
+    for fields in [(41.0, 0, 2), (41, 0.0, 2), (41, 0, 0, 1.0)]:
+        with pytest.raises(InvalidEdgeError):
+            TaggedEdge(*fields)
+    assert type(TaggedEdge(41, 0, 2).n) is int
+    assert TaggedEdge(41.0, 0, 2) is TaggedEdge(41, 0, 2)
+
+
+def test_equality_and_hash_are_identity():
+    # a dataclass __eq__ or __hash__ coming back would hash four fields
+    # at every set or dict lookup
+    assert TaggedEdge.__hash__ is object.__hash__
+    assert TaggedEdge.__eq__ is object.__eq__
+    assert TaggedEdge(6, 1, 4) != TaggedEdge(7, 1, 4)
+    assert len({TaggedEdge(6, 1, 4), TaggedEdge.parse(6, " 1-4 ")}) == 1
 
 
 def test_parse_roundtrip():

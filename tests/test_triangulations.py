@@ -58,22 +58,62 @@ def test_single_edge_not_maximal():
     assert str(info.value) == "set is not maximal: 0-3 is compatible with every member"
 
 
+def _assert_rejected_in_any_order(n, edges, message, seed):
+    """The same message for the given order and five seeded shuffles."""
+    listed = [TaggedEdge.parse(n, e) for e in edges.split(",")]
+    rng = random.Random(seed)
+    for _ in range(6):
+        with pytest.raises(ValueError) as info:
+            Triangulation(n, tuple(listed))
+        assert str(info.value) == message, listed
+        rng.shuffle(listed)
+
+
 def test_crossing_set_rejected():
     # the message names the first crossing pair in canonical edge order
-    for n, edges, message in [
+    for seed, (n, edges, message) in enumerate([
         (5, "0-2,1-3", "edges 0-2 and 1-3 cross (e=1)"),
         (6, "0-3,1-4,2-5,0-2", "edges 0-2 and 1-4 cross (e=1)"),
         (5, "0|+,1|-,2|-", "edges 0|+ and 1|- cross (e=1)"),
-    ]:
-        with pytest.raises(ValueError) as info:
-            Triangulation.of([TaggedEdge.parse(n, e) for e in edges.split(",")])
-        assert str(info.value) == message
+    ]):
+        _assert_rejected_in_any_order(n, edges, message, seed)
+
+
+def test_not_maximal_set_rejected_in_any_order():
+    for seed, (n, edges, message) in enumerate([
+        (6, "0-2,0-4,0|+", "set is not maximal: 0-3 is compatible with every member"),
+        (5, "1|-,3|-,1-3", "set is not maximal: 3-0 is compatible with every member"),
+    ]):
+        _assert_rejected_in_any_order(n, edges, message, seed)
 
 
 def test_duplicate_edge_rejected():
     fan = fan_triangulation(5, 0)
     with pytest.raises(ValueError, match="edge 0-2 is listed more than once"):
         Triangulation(5, fan.edges + (TaggedEdge(5, 0, 2),))
+    # an iterator is read once, also on the way to the error
+    with pytest.raises(ValueError, match="edge 0-2 is listed more than once"):
+        Triangulation(5, iter(fan.edges + (TaggedEdge(5, 0, 2),)))
+
+
+def test_foreign_edge_rejected():
+    fan = fan_triangulation(6, 0)
+    assert TaggedEdge(6, 0, 2) in fan and TaggedEdge(5, 0, 2) not in fan
+    with pytest.raises(ValueError) as info:
+        Triangulation(6, fan.edges[:-1] + (TaggedEdge(5, 1, 3),))
+    assert str(info.value) == "edge 1-3 belongs to n=5, not n=6"
+    # a foreign edge is reported before a crossing pair
+    with pytest.raises(ValueError) as info:
+        Triangulation(5, (TaggedEdge(5, 1, 3), TaggedEdge(5, 0, 2), TaggedEdge(6, 3, 5)))
+    assert str(info.value) == "edge 3-5 belongs to n=6, not n=5"
+
+
+def test_duplicate_reported_before_crossing_and_foreign_edges():
+    e02, e13 = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
+    for edges in [(e02, e13, e02), (e13, e02, e13), (TaggedEdge(6, 0, 2), e13, e13)]:
+        with pytest.raises(ValueError) as info:
+            Triangulation(5, edges)
+        assert str(info.value) == f"edge {edges[-1]} is listed more than once"
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -81,11 +121,11 @@ def test_counts_against_formula(n):
     sets = maximal_noncrossing_sets(n)
     assert len(sets) == type_d_cluster_count(n)
     assert all(len(s) == n for s in sets)
-    if n == 9:
-        return  # validating 35,750 triangulations twice would add about 3 s
-    tris = enumerate_triangulations(n, max_n=8)
+    tris = enumerate_triangulations(n, max_n=9)
     edges = enumerate_tagged_edges(n)
     assert [t.edges for t in tris] == [tuple(edges[i] for i in s) for s in sets]
+    if n == 9:
+        return  # a second run of the 35,750 triangulations would add about 1 s
     # deterministic order
     again = enumerate_triangulations(n, max_n=8)
     assert [str(t) for t in tris] == [str(t) for t in again]
