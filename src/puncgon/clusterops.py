@@ -52,43 +52,18 @@ class TheoremReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "pairs_checked": self.pairs_checked,
-            "failures": [
-                {"M": m, "N": nn, "ext1": e, "crossing": c}
-                for (m, nn, e, c) in self.failures
-            ],
-            "passed": self.passed,
-        }
 
-
-def verify_theorem2(
-    n: int,
-    method: str = "closed",
-    crossing_fn: Callable[[TaggedEdge, TaggedEdge], int] | None = None,
-) -> TheoremReport:
+def verify_theorem2(n: int, method: str = "closed") -> TheoremReport:
     """Check ext1_dim == crossing_number on all n**4 ordered pairs: for
     each m, one Hom row of m over the tau images of all edges, each tau
-    image computed once, against one :func:`crossing_row` of m.
-
-    ``crossing_fn`` is injectable so the harness itself can be mutation
-    tested against a deliberately corrupted rule; it is applied pair by
-    pair across the row.
-    """
+    image computed once, against one :func:`crossing_row` of m."""
     _, hom_row = _hom_engine(method)
-    if crossing_fn is None:
-        cross_row = crossing_row
-    else:
-        def cross_row(m, targets):
-            return [crossing_fn(m, other) for other in targets]
     edges = enumerate_tagged_edges(n)
     shifted = RowTargets(n, map(tau, edges))
     failures = []
     checked = 0
     for m in edges:
-        for other, e1, cn in zip(edges, hom_row(m, shifted), cross_row(m, edges)):
+        for other, e1, cn in zip(edges, hom_row(m, shifted), crossing_row(m, edges)):
             checked += 1
             if e1 != cn:
                 failures.append((str(m), str(other), e1, cn))

@@ -182,7 +182,8 @@ def edge_sort_key(e: TaggedEdge):
 
 
 def enumerate_tagged_edges(n: int) -> list[TaggedEdge]:
-    """All n**2 tagged edges, in the canonical order of :func:`edge_sort_key`."""
+    """All n**2 tagged edges, in the canonical order of :func:`edge_sort_key`,
+    which the two loops emit as they go."""
     if n < 3:
         raise ValueError(f"polygon size must be >= 3, got n={n}")
     out = []
@@ -192,7 +193,6 @@ def enumerate_tagged_edges(n: int) -> list[TaggedEdge]:
     for a in range(n):
         out.append(TaggedEdge.central(n, a, 1))
         out.append(TaggedEdge.central(n, a, -1))
-    out.sort(key=edge_sort_key)
     return out
 
 
@@ -254,8 +254,8 @@ class Position(NamedTuple):
         return f"({self.column},{self.level})"
 
 
-def grid_column(m: TaggedEdge, base: Vertex = 0) -> int:
-    return ((m.start - base) % m.n) + 1
+def grid_column(m: TaggedEdge) -> int:
+    return m.start + 1
 
 
 def _fork_level(n: int, tag: int, column: int) -> int:
@@ -263,44 +263,44 @@ def _fork_level(n: int, tag: int, column: int) -> int:
 
     Central edges occupy the two fork levels n-1 and n.  The top level n
     holds, in column c, the tag with tag * (-1)**(c+1) == +1, so the
-    plus-tagged central edge of the base vertex sits at level n.  The
+    plus-tagged central edge of vertex 0 sits at level n.  The
     column may be absolute (shift * n + grid column): the rule follows its
-    parity.  The convention is pinned by the translation and Hom agreement
-    suites.
+    parity, negative columns included.  The convention is pinned by the
+    translation and Hom agreement suites.
     """
-    return n if tag * (-1) ** (column + 1) == 1 else n - 1
+    return n if tag == (1 if column % 2 else -1) else n - 1
 
 
 def _fork_tag(n: int, level: int, column: int) -> int:
     """Inverse of :func:`_fork_level`: the tag at fork level n-1 or n."""
-    top = (-1) ** (column + 1)
+    top = 1 if column % 2 else -1  # (-1) ** k is a float for negative k
     return top if level == n else -top
 
 
-def grid_level(m: TaggedEdge, base: Vertex = 0) -> int:
+def grid_level(m: TaggedEdge) -> int:
     if not m.is_central:
         return m.span - 2
-    return _fork_level(m.n, m.tag, grid_column(m, base))
+    return _fork_level(m.n, m.tag, grid_column(m))
 
 
-def pos(m: TaggedEdge, base: Vertex = 0) -> Position:
+def pos(m: TaggedEdge) -> Position:
     """Bijection from the n**2 tagged edges onto {1..n} x {1..n}.
 
-    The plain edge of span 3 at the base vertex goes to (1, 1); plain
+    The plain edge of span 3 at vertex 0 goes to (1, 1); plain
     edges sit at level span - 2, central edges at the fork levels
     n-1 and n by the tag/parity rule of :func:`_fork_level`.
     """
-    return Position(grid_column(m, base), grid_level(m, base))
+    return Position(grid_column(m), grid_level(m))
 
 
-def pos_inv(n: int, p: Position | tuple[int, int], base: Vertex = 0) -> TaggedEdge:
+def pos_inv(n: int, p: Position | tuple[int, int]) -> TaggedEdge:
     """Inverse of :func:`pos`; rejects coordinates outside the grid."""
     i, j = p
     if not (1 <= i <= n):
         raise ValueError(f"column must lie in 1..{n}, got {i}")
     if not (1 <= j <= n):
         raise ValueError(f"level must lie in 1..{n}, got {j}")
-    a = (base + i - 1) % n
+    a = i - 1
     if j <= n - 2:
         return TaggedEdge(n, a, (a + j + 1) % n, 1)
     return TaggedEdge.central(n, a, _fork_tag(n, j, i))

@@ -31,9 +31,14 @@ test suite certifies the sweep against a literal oracle that enumerates
 every path and subtracts the exact rank of the relations u * m_X * v.
 
 Hom spaces in the quotient by the full rotation rho (which shifts k by
-one, i.e. columns by n) are direct sums over shifts; the sum has finite
-support because morphisms out of a vertex vanish beyond the shifted copy
-of its column strip.
+one, i.e. columns by n) are direct sums over shifts.  Morphisms out of a
+vertex vanish beyond relative column 2n - 1, so Hom(m, o) lives in two
+cells of the sweep out of m: with cm, co the grid columns of m and o and
+d = (co - cm) mod n, the relative columns d and d + n, which are the
+shifts (0, 1) when co >= cm and (1, 2) otherwise.  :class:`RowTargets`
+works out the levels of those cells, and the row kernels
+:func:`hom_row_cluster` and :func:`hom_row_closed_form` are the only
+code that places a target; the pair functions are rows of one.
 """
 
 from __future__ import annotations
@@ -79,30 +84,20 @@ def zq_tau(v: ZqVertex) -> ZqVertex:
 
 @dataclass(frozen=True)
 class MeshVertex:
-    """Vertex (shift, edge) of the shifted-edge quiver.
+    """Vertex (shift, edge) of the shifted-edge quiver, the name that
+    :func:`mesh_vertex_at` gives a (column, level) vertex of ZD_n.
 
-    The fork level of a central edge alternates with the parity of the
-    absolute column shift*n + column (for odd n consecutive shifted
-    copies of the same edge therefore swap fork levels; this is exactly
-    what makes the translation preserve levels across the wraparound).
+    The edge sits at the absolute column shift*n + grid column.  A fork
+    level follows the parity of that column, so for odd n consecutive
+    shifted copies of one central edge swap fork levels; this is what
+    makes the translation preserve levels across the wraparound.
     """
 
     shift: int
     edge: TaggedEdge
 
-    @property
-    def zq(self) -> ZqVertex:
-        c = self.shift * self.edge.n + grid_column(self.edge)
-        return (c, _zq_level(self.edge, self.shift))
-
     def __str__(self) -> str:
         return f"({self.shift}; {self.edge})"
-
-
-def _zq_level(edge: TaggedEdge, shift: int) -> int:
-    if edge.is_central:
-        return _fork_level(edge.n, edge.tag, shift * edge.n + grid_column(edge))
-    return grid_level(edge)
 
 
 def mesh_vertex_at(n: int, v: ZqVertex) -> MeshVertex:
@@ -139,7 +134,6 @@ class _Space:
 
 
 _ZERO_SPACE = _Space(0, (), (), (), ())
-_ZERO, _ONE = 0, 1
 
 
 class HomSweep:
@@ -223,7 +217,7 @@ class HomSweep:
         t = zq_tau(x)
         elim = IntElim(total)
         for u in range(self.space(t).dim):
-            row = [_ZERO] * total
+            row = [0] * total
             for y, off in zip(ins, offs):
                 ysp = self._spaces[y]
                 tcol = ysp.offs[ysp.ins.index(t)] + u
@@ -240,7 +234,7 @@ class HomSweep:
         basis = [i for i in reversed(range(total)) if i not in reduced]
         proj = tuple(
             tuple(
-                -reduced[col[u]][b] if col[u] in reduced else (_ONE if col[u] == b else _ZERO)
+                -reduced[col[u]][b] if col[u] in reduced else int(col[u] == b)
                 for u in range(total)
             )
             for b in basis
@@ -261,7 +255,7 @@ class HomSweep:
             if any(coords):
                 coords = self._arrow_apply(prev, v, coords)
             else:
-                coords = [_ZERO] * sp.dim
+                coords = [0] * sp.dim
             prev = v
         return prev, coords
 
@@ -281,39 +275,10 @@ def _sweep(n: int, src_level: int) -> HomSweep:
 # dimensions
 
 
-def _relative_column(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
-    return grid_column(other) + shift * m.n - grid_column(m)
-
-
-def cluster_shifts(m: TaggedEdge, other: TaggedEdge) -> list[int]:
-    """Shifts whose column offset lies in [0, 2n-1]; morphisms vanish beyond
-    the shifted strip, so these carry every nonzero graded component."""
-    n = m.n
-    base = grid_column(other) - grid_column(m)
-    ks = []
-    k = -(base // n) - 2
-    while True:
-        dc = base + k * n
-        if dc > 2 * n - 1:
-            break
-        if dc >= 0:
-            ks.append(k)
-        k += 1
-    return ks
-
-
 def hom_dim_cluster(m: TaggedEdge, other: TaggedEdge) -> int:
-    """Total Hom dimension in the rotation quotient: sum over shifts.
-
-    The two shifts of :func:`cluster_shifts` put ``other`` at the relative
-    columns d and d + n, d its column offset mod n; one sweep serves both."""
-    _require_same_n(m, other)
-    n = m.n
-    cm, co = grid_column(m), grid_column(other)
-    sweep = _sweep(n, grid_level(m))
-    d = (co - cm) % n
-    k = (cm + d - co) // n
-    return sweep.dim((d, _zq_level(other, k))) + sweep.dim((d + n, _zq_level(other, k + 1)))
+    """Total Hom dimension in the rotation quotient, summed over shifts:
+    the row of :func:`hom_row_cluster` to the one target ``other``."""
+    return hom_row_cluster(m, RowTargets(m.n, (other,)))[0]
 
 
 def _closed_form_cell(n: int, mm: int, i: int, j: int) -> int:
@@ -336,21 +301,9 @@ def _closed_form_cell(n: int, mm: int, i: int, j: int) -> int:
 
 
 def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
-    """Closed-form Hom dimension from grid positions.
-
-    Rotate both edges so that m sits in column 1 at level mm; with (i, j)
-    the rotated position of the target the dimension is the value of
-    :func:`_closed_form_cell`.
-    """
-    _require_same_n(m, other)
-    n = m.n
-    cm = grid_column(m)
-    i = ((grid_column(other) - cm) % n) + 1
-    if other.is_central:
-        j = _fork_level(n, other.tag, cm + i - 1)
-    else:
-        j = grid_level(other)
-    return _closed_form_cell(n, grid_level(m), i, j)
+    """Closed-form Hom dimension from grid positions: the row of
+    :func:`hom_row_closed_form` to the one target ``other``."""
+    return hom_row_closed_form(m, RowTargets(m.n, (other,)))[0]
 
 
 class RowTargets:
@@ -380,8 +333,10 @@ class RowTargets:
 
 
 def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
-    """:func:`hom_dim_cluster` from m to every target: the source's
-    column, level and sweep are looked up once for the whole row."""
+    """Total Hom dimension from m to every target, summed over shifts: the
+    sweep dimensions at the target's two cells (the placement rule of the
+    module docstring).  The source's column, level and sweep are looked
+    up once for the whole row."""
     _require_same_n(m, targets)
     n = m.n
     cm = grid_column(m)
@@ -399,8 +354,11 @@ def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
 
 
 def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
-    """:func:`hom_dim_closed_form` from m to every target, reading the
-    source's column and level once for the whole row."""
+    """Closed-form Hom dimension from m to every target.  Rotate both
+    edges so that m sits in column 1 at level mm; with (i, j) the rotated
+    position of the target, at the first of its two cells, the dimension
+    is the value of :func:`_closed_form_cell`.  The source's column and
+    level are read once for the whole row."""
     _require_same_n(m, targets)
     n = m.n
     cm, mm = grid_column(m), grid_level(m)
@@ -444,15 +402,19 @@ class MorphismSpace:
     """
 
     def __init__(self, source: TaggedEdge, target: TaggedEdge):
-        _require_same_n(source, target)
         self.source = source
         self.target = target
         self.n = source.n
         self._rel: dict[int, tuple[tuple[ZqVertex, ...], ...]] = {}
-        sweep = _sweep(self.n, grid_level(source))
-        for k in cluster_shifts(source, target):
-            dc = _relative_column(source, target, k)
-            sp = sweep.space((dc, _zq_level(target, k)))
+        n, cm = self.n, grid_column(source)
+        ((co, here, next_copy),) = RowTargets(n, (target,)).cells
+        if co >= cm:  # shifts 0 and 1, as in hom_row_cluster
+            first, d, a, b = 0, co - cm, here, next_copy
+        else:  # shifts 1 and 2
+            first, d, a, b = 1, co - cm + n, next_copy, here
+        sweep = _sweep(n, grid_level(source))
+        for k, cell in ((first, (d, a)), (first + 1, (d + n, b))):
+            sp = sweep.space(cell)
             if sp.dim:
                 self._rel[k] = sp.paths
         self.slots = tuple((k, i) for k in self.shifts for i in range(self.dim(k)))
@@ -486,14 +448,14 @@ class MorphismSpace:
     def basis_element(self, shift: int, index: int) -> "Morphism":
         if index >= self.dim(shift):
             raise IndexError(f"no basis element ({shift}, {index})")
-        return Morphism(self.source, self.target, {(shift, index): _ONE})
+        return Morphism(self.source, self.target, {(shift, index): 1})
 
     def basis(self) -> list["Morphism"]:
         return [self.basis_element(k, i) for k, i in self.slots]
 
     def flatten(self, mor: "Morphism") -> list[int]:
         """Coordinates of a morphism of this space in the ``slots`` order."""
-        return [mor.coeffs.get(slot, _ZERO) for slot in self.slots]
+        return [mor.coeffs.get(slot, 0) for slot in self.slots]
 
 
 _SPACES: dict[tuple[TaggedEdge, TaggedEdge], MorphismSpace] = {}
@@ -577,9 +539,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         # f's representative is the i-th basis path at its end vertex, so
         # it reduces to the i-th unit vector there without a walk
         end = space_f._rel[k][i][-1]
-        coords_f = [_ZERO] * sweep.space(end).dim
-        coords_f[i] = _ONE
-        off = _relative_column(m, nn, k)
+        coords_f = [0] * sweep.space(end).dim
+        coords_f[i] = 1
+        off = end[0]  # g's path is translated to start at f's end
         flip = (k * n) % 2 == 1
         for (l, j), b in g.coeffs.items():
             if not b:
@@ -593,7 +555,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
             for idx, c in enumerate(coords):
                 if c:
                     key = (k + l, idx)
-                    out[key] = out.get(key, _ZERO) + a * b * c
+                    out[key] = out.get(key, 0) + a * b * c
     out = {k: v for k, v in out.items() if v}
     for (k, idx) in out:
         if idx >= space_out.dim(k):

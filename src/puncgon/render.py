@@ -72,10 +72,10 @@ def _write(obj, write, nl: str) -> None:
             write("[]")
             return
         inner = nl + "  "
-        first = type(obj[0])
-        if first is int and all(type(x) is int for x in obj):
+        kinds = set(map(type, obj))  # a flat list of one kind is joined at once
+        if kinds == {int}:
             write("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
-        elif first is str and all(type(x) is str for x in obj):
+        elif kinds == {str}:
             write("[" + inner + ("," + inner).join(map(_quote, obj)) + nl + "]")
         else:
             sep = "[" + inner

@@ -17,21 +17,14 @@ from fractions import Fraction
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
     TaggedEdge,
+    _fork_level,
     _require_same_n,
     edge_sort_key,
     enumerate_tagged_edges,
-    grid_level,
+    grid_column,
 )
 from puncgon.linalg import FractionElim
-from puncgon.mesh import (
-    ZqVertex,
-    _relative_column,
-    _zq_level,
-    compose,
-    morphism_space,
-    zq_in_arrows,
-    zq_tau,
-)
+from puncgon.mesh import ZqVertex, compose, morphism_space, zq_in_arrows, zq_tau
 from puncgon.triangulation import Triangulation, exchange_sides, quiver_of_triangulation
 
 
@@ -206,6 +199,33 @@ def int_rank(rows: list[list[int]]) -> int:
     return len(pivots)
 
 
+def zq_cell(e: TaggedEdge, shift: int) -> ZqVertex:
+    """Absolute (column, level) of the vertex (shift, e) of ZD_n, from the
+    identification (k, M) <-> (n*k + column(M), level(M)): a plain edge
+    sits at level span - 2, a central edge at the fork level that the
+    parity of its absolute column gives its tag."""
+    c = shift * e.n + grid_column(e)
+    if e.is_central:
+        return (c, _fork_level(e.n, e.tag, c))
+    return (c, e.span - 2)
+
+
+def relative_cell(m: TaggedEdge, other: TaggedEdge, shift: int) -> ZqVertex:
+    """Cell of (shift, other) in the sweep out of (0, m), whose source sits
+    at relative column 0."""
+    _require_same_n(m, other)
+    c, level = zq_cell(other, shift)
+    return (c - zq_cell(m, 0)[0], level)
+
+
+def window_shifts(m: TaggedEdge, other: TaggedEdge) -> list[int]:
+    """Every shift that puts ``other`` at a relative column in 0..2n-1,
+    the window outside which Hom out of m vanishes, found by scanning
+    shifts -2..3 (a relative column is column(other) - column(m) + k*n,
+    and the column difference lies in -(n-1)..n-1)."""
+    return [k for k in range(-2, 4) if 0 <= relative_cell(m, other, k)[0] <= 2 * m.n - 1]
+
+
 def hom_dims_by_knitting(n: int, src_level: int, max_col: int) -> dict[ZqVertex, int]:
     """Additive mesh recurrence: d(x) = sum over in-arrows - d(tau x), with a
     unit source term at the source vertex and at its shift copy n-1 columns
@@ -254,13 +274,11 @@ def hom_dim_mesh_by_rank(m: TaggedEdge, other: TaggedEdge, shift: int) -> int:
     """Literal mesh Hom dimension: number of paths minus the exact rank of
     the relation matrix spanned by all u * m_X * v.  Exponential; used to
     certify the sweep on small windows."""
-    _require_same_n(m, other)
     n = m.n
-    dc = _relative_column(m, other, shift)
-    if dc < 0:
+    tgt = relative_cell(m, other, shift)
+    if tgt[0] < 0:
         return 0
-    src = (0, grid_level(m))
-    tgt = (dc, _zq_level(other, shift))
+    src = (0, zq_cell(m, 0)[1])
     paths = _enumerate_paths(n, src, tgt)
     if not paths:
         return 0

@@ -17,7 +17,6 @@ from puncgon.geometry import (
     tau_power,
 )
 from puncgon.mesh import (
-    MeshVertex,
     hom_dim_closed_form,
     hom_dim_cluster,
     mesh_vertex_at,
@@ -31,6 +30,8 @@ from puncgon.triangulation import (
     maximal_noncrossing_sets,
     quiver_of_triangulation,
 )
+
+from oracles import zq_cell
 
 N6_GRID = {
     1: (0, 0, 1, 0, 1, 0),
@@ -102,7 +103,7 @@ def test_criterion_5_ar_triangles_match_mesh_predecessors():
             tri = ar_triangle(m)
             assert tri.left == tau(m)
             assert 1 <= len(tri.middle) <= 3
-            mesh_middle = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, MeshVertex(1, m).zq)]
+            mesh_middle = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, zq_cell(m, 1))]
             assert sorted(map(str, mesh_middle)) == sorted(map(str, tri.middle))
             # case shapes (at n = 3 the span-n case keeps only the radii)
             left = tri.left

@@ -56,11 +56,12 @@ def test_enumeration_split_n4():
 
 
 def test_enumeration_order_is_canonical():
-    edges = enumerate_tagged_edges(5)
-    assert edges == sorted(edges, key=edge_sort_key)
-    assert str(edges[0]) == "0-2"
-    # central edges come last, plus tag before minus
-    assert str(edges[-2]) == "4|+" and str(edges[-1]) == "4|-"
+    for n in range(3, 13):
+        edges = enumerate_tagged_edges(n)
+        assert edges == sorted(edges, key=edge_sort_key), n
+        assert str(edges[0]) == "0-2"
+        # central edges come last, plus tag before minus
+        assert str(edges[-2]) == f"{n - 1}|+" and str(edges[-1]) == f"{n - 1}|-"
 
 
 def test_enumeration_rejects_small_n():
@@ -267,6 +268,20 @@ def test_pos_of_tau_drops_column(n):
         else:
             # odd n: the wraparound swaps the two fork levels
             assert {p.level, q.level} == {n - 1, n}
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fork_tag_is_an_int_at_every_column(n):
+    """Absolute columns may be negative (shifted copies left of the
+    sweep's source); the fork tag there must still be the int +1 or -1,
+    or an edge built from it fails E2 on a miss of the edge table."""
+    for c in range(-2 * n, 2 * n):
+        assert {geometry._fork_level(n, tag, c) for tag in (1, -1)} == {n - 1, n}
+        for level in (n - 1, n):
+            tag = geometry._fork_tag(n, level, c)
+            assert type(tag) is int and tag in (1, -1), (n, level, c)
+            assert geometry._fork_level(n, tag, c) == level
+            assert geometry._fork_level(n, tag, c + 1) != level
 
 
 def test_position_string():

@@ -13,7 +13,6 @@ from puncgon.mesh import (
     HomSweep,
     MeshClosureError,
     RowTargets,
-    cluster_shifts,
     compose,
     hom_dim_closed_form,
     hom_dim_cluster,
@@ -23,12 +22,18 @@ from puncgon.mesh import (
     morphism_space,
     zq_in_arrows,
     zq_tau,
-    _relative_column,
     _sweep,
-    _zq_level,
 )
 
-from oracles import hom_dim_mesh_by_rank, hom_dims_by_knitting, int_rank, zq_out_arrows
+from oracles import (
+    hom_dim_mesh_by_rank,
+    hom_dims_by_knitting,
+    int_rank,
+    relative_cell,
+    window_shifts,
+    zq_cell,
+    zq_out_arrows,
+)
 
 # Hom dimensions out of grid position (1, 3) at n = 6; levels 1..6, columns
 # 1..6.  Frozen reference values for the worked example table.
@@ -86,11 +91,13 @@ def test_window_tau_matches_edge_translation():
 
 
 def test_mesh_vertex_roundtrip():
+    """The package's naming of (column, level) vertices inverts the
+    oracle's placement of (shift, edge) vertices."""
     for n in (4, 5):
         for c in range(-3, 3 * n):
             for j in range(1, n + 1):
                 v = mesh_vertex_at(n, (c, j))
-                assert v.zq == (c, j)
+                assert zq_cell(v.edge, v.shift) == (c, j)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +107,7 @@ def test_mesh_vertex_roundtrip():
 @pytest.mark.parametrize("n", range(3, 7))
 def test_identity_and_translation_rigidity(n):
     for m in enumerate_tagged_edges(n):
-        assert 0 in cluster_shifts(m, m) and morphism_space(m, m).dim(0) == 1
+        assert 0 in window_shifts(m, m) and morphism_space(m, m).dim(0) == 1
         assert hom_dim_cluster(m, m) >= 1
         assert hom_dim_cluster(m, tau(m)) == 0
 
@@ -112,12 +119,48 @@ def test_cluster_dims_bounded_by_two(n):
             assert hom_dim_cluster(m, other) in (0, 1, 2)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_hom_vanishes_beyond_the_window(n):
+    """The law the two-cell placement rests on: out of every source
+    level, the knitted dimensions vanish at every relative column from 2n
+    to 4n, and the sweep agrees with them on all of columns 0..4n."""
+    last = 4 * n
+    for level in range(1, n + 1):
+        knit = hom_dims_by_knitting(n, level, last)
+        sweep = _sweep(n, level)
+        for c in range(last + 1):
+            for j in range(1, n + 1):
+                assert sweep.dim((c, j)) == knit[(c, j)], (n, level, (c, j))
+                assert c <= 2 * n - 1 or knit[(c, j)] == 0, (n, level, (c, j))
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_hom_sits_in_the_oracle_window_cells(n):
+    """Against the oracle's own placement, for every pair: the window
+    holds exactly two shifts, the morphism space keeps the sweep bases
+    of exactly the nonzero window cells (each basis path ends at its
+    cell), and both pair functions sum the window cells."""
+    edges = enumerate_tagged_edges(n)
+    for m in edges:
+        sweep = _sweep(n, zq_cell(m, 0)[1])
+        for other in edges:
+            cells = {k: relative_cell(m, other, k) for k in window_shifts(m, other)}
+            assert len(cells) == 2, (m, other)
+            space = morphism_space(m, other)
+            assert space._rel == {
+                k: sweep.space(cell).paths for k, cell in cells.items() if sweep.dim(cell)
+            }, (m, other)
+            total = sum(sweep.dim(cell) for cell in cells.values())
+            assert hom_dim_cluster(m, other) == hom_dim_closed_form(m, other) == total
+            assert space.total_dim == total, (m, other)
+
+
 def test_literal_rank_oracle_exhaustive_n3():
     edges = enumerate_tagged_edges(3)
     for m in edges:
         for other in edges:
             space = morphism_space(m, other)
-            for k in cluster_shifts(m, other):
+            for k in window_shifts(m, other):
                 assert space.dim(k) == hom_dim_mesh_by_rank(m, other, k)
 
 
@@ -126,8 +169,8 @@ def test_literal_rank_oracle_n4_narrow():
     for m in edges:
         for other in edges:
             space = morphism_space(m, other)
-            for k in cluster_shifts(m, other):
-                if _relative_column(m, other, k) <= 4:
+            for k in window_shifts(m, other):
+                if relative_cell(m, other, k)[0] <= 4:
                     assert space.dim(k) == hom_dim_mesh_by_rank(m, other, k)
 
 
@@ -140,7 +183,7 @@ def test_literal_rank_oracle_samples_wide():
         (TaggedEdge.central(5, 0, 1), TaggedEdge.central(5, 2, -1), 1),
     ]
     for m, other, k in cases:
-        assert k in cluster_shifts(m, other)
+        assert k in window_shifts(m, other)
         assert morphism_space(m, other).dim(k) == hom_dim_mesh_by_rank(m, other, k)
 
 
@@ -150,7 +193,7 @@ def test_literal_rank_oracle_samples_wide():
 )
 def test_literal_rank_oracle_nonzero(n, source, target, dim):
     m, other = TaggedEdge.parse(n, source), TaggedEdge.parse(n, target)
-    assert 0 in cluster_shifts(m, other)
+    assert 0 in window_shifts(m, other)
     assert hom_dim_mesh_by_rank(m, other, 0) == dim
     assert morphism_space(m, other).dim(0) == dim
 
@@ -184,8 +227,8 @@ ORACLE_NONZERO_CASES = [
 @pytest.mark.parametrize("n, source, target, shift, dim", ORACLE_NONZERO_CASES)
 def test_literal_rank_oracle_shifted_and_fork_cases(n, source, target, shift, dim):
     m, other = TaggedEdge.parse(n, source), TaggedEdge.parse(n, target)
-    assert shift in cluster_shifts(m, other)
-    assert shift >= 1 or max(_zq_level(m, 0), _zq_level(other, 0)) >= n - 1
+    assert shift in window_shifts(m, other)
+    assert shift >= 1 or max(zq_cell(m, 0)[1], zq_cell(other, 0)[1]) >= n - 1
     assert hom_dim_mesh_by_rank(m, other, shift) == dim
     assert morphism_space(m, other).dim(shift) == dim
 
@@ -351,7 +394,7 @@ def test_morphism_space_grading_matches_dims():
             sp = morphism_space(m, other)
             assert sp.total_dim == hom_dim_cluster(m, other)
             for k, basis in sp.components.items():
-                assert k in cluster_shifts(m, other)
+                assert k in window_shifts(m, other)
                 for p in basis:
                     assert p.vertices[0].edge == m and p.vertices[-1].edge == other
                     # consecutive representative vertices form arrows

@@ -3,7 +3,8 @@
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "puncgon"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "puncgon"
 
 
 def _imported_modules(node) -> list[str]:
@@ -43,3 +44,25 @@ def test_only_linalg_uses_fractions():
                 mentions.add(path.name)
     assert importers == {"linalg.py"}
     assert mentions == {"linalg.py"}
+
+
+def test_oracles_take_only_mesh_primitives():
+    """The test oracles place (shift, edge) vertices in ZD_n themselves:
+    from ``puncgon.mesh``, directly or through the package root, they
+    import only the quiver's arrows and translation, the vertex type, and
+    the Hom bases and composition they build on, never the placement the
+    sweep tests check.  A plain ``import puncgon`` or ``import
+    puncgon.mesh`` would reach any name, so it counts as a breach."""
+    import puncgon.mesh
+
+    path = TESTS / "oracles.py"
+    taken = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            taken.update(a.name for a in node.names if a.name in ("puncgon", "puncgon.mesh"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "puncgon.mesh":
+            taken.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module == "puncgon":
+            mesh_names = set(vars(puncgon.mesh)) | {"mesh"}
+            taken.update(a.name for a in node.names if a.name in mesh_names)
+    assert taken <= {"ZqVertex", "zq_in_arrows", "zq_tau", "compose", "morphism_space"}
