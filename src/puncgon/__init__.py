@@ -16,10 +16,8 @@ from .geometry import (
 )
 from .crossing import crossing_number, crossing_row
 from .mesh import (
-    MeshVertex,
     Morphism,
     MorphismSpace,
-    PathClass,
     RowTargets,
     compose,
     hom_dim_closed_form,

@@ -18,7 +18,7 @@ import sys
 from . import render
 from .clusterops import ext1_dim
 from .crossing import crossing_number, crossing_row
-from .geometry import InvalidEdgeError, TaggedEdge, enumerate_tagged_edges, parse_edge_list
+from .geometry import TaggedEdge, enumerate_tagged_edges, parse_edge_list
 from .mesh import morphism_space
 from .suites import DEFAULT_PAIRS_BOUND, SUITES, run_suites
 from .tilted import (
@@ -107,15 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_triangulation(n: int, text: str) -> Triangulation:
-    edges = parse_edge_list(n, text)
-    try:
-        return Triangulation(n, tuple(edges))
-    except ValueError as exc:
-        raise SystemExitError(str(exc))
-
-
-class SystemExitError(Exception):
-    pass
+    return Triangulation(n, tuple(parse_edge_list(n, text)))
 
 
 def _print_json(obj) -> None:
@@ -215,7 +207,7 @@ def cmd_flipwalk(args) -> int:
     t = _parse_triangulation(args.n, args.T)
     script = parse_edge_list(args.n, args.script) if args.script else []
     if args.random < 0:
-        raise SystemExitError(f"--random must be at least 0, got {args.random}")
+        raise ValueError(f"--random must be at least 0, got {args.random}")
     rng = random.Random(args.seed)
     # random steps are placeholders, chosen at walk time
     steps = itertools.chain(script, itertools.repeat(None, args.random))
@@ -224,11 +216,7 @@ def cmd_flipwalk(args) -> int:
     for chosen in steps:
         edge = chosen if chosen is not None else rng.choice(current.edges)
         if edge not in current:
-            print(
-                f"error: edge {edge} is not in the current triangulation {current}",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"edge {edge} is not in the current triangulation {current}")
         data = exchange_sides(current, edge)
         current = data.after
         relation = data.relation_string()
@@ -301,26 +289,23 @@ def cmd_report(args) -> int:
 
 def cmd_ar_quiver(args) -> int:
     if args.T is None:
+        t = None
         q = ar_quiver_of_category(args.n)
-        if args.no_op:
-            q = dataclasses.replace(q, arrows=tuple((b, a) for a, b in q.arrows))
-        if args.format == "dot":
-            print(render.category_quiver_dot(q))
-        elif args.format == "json":
-            _print_json(render.category_quiver_json(q))
-        else:
-            print(f"{len(q.vertices)} vertices, {len(q.arrows)} arrows")
-            for a, b in q.arrows:
-                print(f"  {a} -> {b}")
-        return 0
-    t = _parse_triangulation(args.n, args.T)
-    q = ar_quiver_of_tilted(t)
+        dot, to_json = render.category_quiver_dot, render.category_quiver_json
+    else:
+        t = _parse_triangulation(args.n, args.T)
+        q = ar_quiver_of_tilted(t)
+        dot, to_json = render.tilted_quiver_dot, render.tilted_quiver_json
     if args.no_op:
         q = dataclasses.replace(q, arrows=tuple((b, a) for a, b in q.arrows))
     if args.format == "dot":
-        print(render.tilted_quiver_dot(q))
+        print(dot(q))
     elif args.format == "json":
-        _print_json(render.tilted_quiver_json(q))
+        _print_json(to_json(q))
+    elif t is None:
+        print(f"{len(q.vertices)} vertices, {len(q.arrows)} arrows")
+        for a, b in q.arrows:
+            print(f"  {a} -> {b}")
     else:
         gabriel = quiver_of_triangulation(t)
         print(f"{len(q.vertices)} modules over End({t})^op")
@@ -355,7 +340,7 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (InvalidEdgeError, SystemExitError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -104,8 +104,9 @@ class TaggedEdge:
     Interned: ``TaggedEdge(n, start, end, tag)`` returns the one instance
     for those fields, validated when it is first built, so ``==`` and
     ``hash`` are object identity.  ``__new__`` sets the fields, on a miss
-    only; hence ``init=False``, since a dataclass ``__init__`` would set
-    them again on every construction.
+    only, together with the serialized name that ``str`` returns; hence
+    ``init=False``, since a dataclass ``__init__`` would set them again on
+    every construction.
     """
 
     n: int
@@ -121,6 +122,8 @@ class TaggedEdge:
             edge = object.__new__(cls)
             for name, value in zip(("n", "start", "end", "tag"), key):
                 object.__setattr__(edge, name, value)
+            text = f"{start}|{'+' if tag == 1 else '-'}" if start == end else f"{start}-{end}"
+            object.__setattr__(edge, "_name", text)
             edge = _EDGES.setdefault(key, edge)
         return edge
 
@@ -160,9 +163,7 @@ class TaggedEdge:
             raise InvalidEdgeError("E1", f"cannot parse edge {text!r}") from exc
 
     def __str__(self) -> str:
-        if self.is_central:
-            return f"{self.start}|{'+' if self.tag == 1 else '-'}"
-        return f"{self.start}-{self.end}"
+        return self._name
 
     def __repr__(self) -> str:
         return f"TaggedEdge({self.n}, {self!s})"
@@ -293,6 +294,18 @@ def pos(m: TaggedEdge) -> Position:
     return Position(grid_column(m), grid_level(m))
 
 
+def edge_at(n: int, cell: tuple[int, int]) -> TaggedEdge:
+    """The tagged edge at a (column, level) cell, 1 <= level <= n.  The
+    column may be absolute (shift * n + grid column), as in the repetition
+    quiver of :mod:`puncgon.mesh`: a fork tag follows its parity, so for
+    odd n consecutive shifted copies of one central edge swap fork levels."""
+    c, j = cell
+    a = (c - 1) % n
+    if j <= n - 2:
+        return TaggedEdge(n, a, (a + j + 1) % n, 1)
+    return TaggedEdge.central(n, a, _fork_tag(n, j, c))
+
+
 def pos_inv(n: int, p: Position | tuple[int, int]) -> TaggedEdge:
     """Inverse of :func:`pos`; rejects coordinates outside the grid."""
     i, j = p
@@ -300,10 +313,7 @@ def pos_inv(n: int, p: Position | tuple[int, int]) -> TaggedEdge:
         raise ValueError(f"column must lie in 1..{n}, got {i}")
     if not (1 <= j <= n):
         raise ValueError(f"level must lie in 1..{n}, got {j}")
-    a = i - 1
-    if j <= n - 2:
-        return TaggedEdge(n, a, (a + j + 1) % n, 1)
-    return TaggedEdge.central(n, a, _fork_tag(n, j, i))
+    return edge_at(n, (i, j))
 
 
 def parse_edge_list(n: int, text: str) -> list[TaggedEdge]:

@@ -39,18 +39,25 @@ shifts (0, 1) when co >= cm and (1, 2) otherwise.  :class:`RowTargets`
 works out the levels of those cells, and the row kernels
 :func:`hom_row_cluster` and :func:`hom_row_closed_form` are the only
 code that places a target; the pair functions are rows of one.
+
+A Hom element has one form.  A :class:`Morphism` is its tuple of int
+coordinates over the basis paths of its :class:`MorphismSpace`, in the
+space's flat ``slots`` order, and :func:`compose` reads and writes that
+tuple directly.  A basis path is a tuple of sweep cells; it is shown as
+the tuple of tagged edges it passes through, each named by
+:func:`puncgon.geometry.edge_at`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (
     TaggedEdge,
     _fork_level,
-    _fork_tag,
     _require_same_n,
+    edge_at,
     grid_column,
     grid_level,
 )
@@ -80,36 +87,6 @@ def zq_in_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
 
 def zq_tau(v: ZqVertex) -> ZqVertex:
     return (v[0] - 1, v[1])
-
-
-@dataclass(frozen=True)
-class MeshVertex:
-    """Vertex (shift, edge) of the shifted-edge quiver, the name that
-    :func:`mesh_vertex_at` gives a (column, level) vertex of ZD_n.
-
-    The edge sits at the absolute column shift*n + grid column.  A fork
-    level follows the parity of that column, so for odd n consecutive
-    shifted copies of one central edge swap fork levels; this is what
-    makes the translation preserve levels across the wraparound.
-    """
-
-    shift: int
-    edge: TaggedEdge
-
-    def __str__(self) -> str:
-        return f"({self.shift}; {self.edge})"
-
-
-def mesh_vertex_at(n: int, v: ZqVertex) -> MeshVertex:
-    c, j = v
-    col = ((c - 1) % n) + 1
-    shift = (c - col) // n
-    a = col - 1
-    if j <= n - 2:
-        edge = TaggedEdge(n, a, (a + j + 1) % n, 1)
-    else:
-        edge = TaggedEdge.central(n, a, _fork_tag(n, j, c))
-    return MeshVertex(shift, edge)
 
 
 class MeshClosureError(RuntimeError):
@@ -373,39 +350,23 @@ def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
 # morphism spaces: explicit graded bases, composition
 
 
-@dataclass(frozen=True)
-class PathClass:
-    """A path class between shifted-edge vertices, by its representative."""
-
-    source: MeshVertex
-    target: MeshVertex
-    vertices: tuple[MeshVertex, ...]
-
-    @property
-    def arrows(self) -> tuple[tuple[MeshVertex, MeshVertex], ...]:
-        return tuple(zip(self.vertices, self.vertices[1:]))
-
-    def __str__(self) -> str:
-        return " -> ".join(str(v.edge) for v in self.vertices)
-
-
 class MorphismSpace:
     """Graded Hom space between two tagged edges in the rotation quotient.
 
-    ``shifts`` lists, ascending, the shifts with nonzero Hom.  The basis
-    of each is the lexicographically first independent set of paths
-    modulo the mesh relations, kept as sweep paths relative to the
-    source; ``components`` maps each shift to those paths as
-    :class:`PathClass` objects, built on first access.  ``slots`` lists
-    the basis coordinates ``(shift, index)`` in the flat order used by
-    ``basis`` and ``flatten``.
+    Its basis is, shift by shift, the lexicographically first independent
+    set of paths modulo the mesh relations, kept as the sweep paths of
+    (column, level) cells relative to the source.  ``paths`` lists every
+    basis path, shifts ascending, and ``slots`` the ``(shift, index)`` of
+    each: this flat order is the coordinate order of a :class:`Morphism`.
+    ``shifts`` lists, ascending, the shifts with nonzero Hom, and
+    ``components`` maps each to its paths as the tuples of tagged edges
+    they pass through, built on first access.
     """
 
     def __init__(self, source: TaggedEdge, target: TaggedEdge):
         self.source = source
         self.target = target
         self.n = source.n
-        self._rel: dict[int, tuple[tuple[ZqVertex, ...], ...]] = {}
         n, cm = self.n, grid_column(source)
         ((co, here, next_copy),) = RowTargets(n, (target,)).cells
         if co >= cm:  # shifts 0 and 1, as in hom_row_cluster
@@ -413,49 +374,45 @@ class MorphismSpace:
         else:  # shifts 1 and 2
             first, d, a, b = 1, co - cm + n, next_copy, here
         sweep = _sweep(n, grid_level(source))
+        paths: list[tuple[ZqVertex, ...]] = []
+        self._blocks: dict[int, tuple[int, int]] = {}  # shift -> (start, dim)
         for k, cell in ((first, (d, a)), (first + 1, (d + n, b))):
             sp = sweep.space(cell)
             if sp.dim:
-                self._rel[k] = sp.paths
+                self._blocks[k] = (len(paths), sp.dim)
+                paths.extend(sp.paths)
+        self.paths = tuple(paths)
         self.slots = tuple((k, i) for k in self.shifts for i in range(self.dim(k)))
 
     @property
     def shifts(self) -> list[int]:
-        return sorted(self._rel)
+        return list(self._blocks)
 
     @cached_property
-    def components(self) -> dict[int, tuple[PathClass, ...]]:
+    def components(self) -> dict[int, tuple[tuple[TaggedEdge, ...], ...]]:
         n, col0 = self.n, grid_column(self.source)
         return {
             k: tuple(
-                PathClass(
-                    MeshVertex(0, self.source),
-                    MeshVertex(k, self.target),
-                    tuple(mesh_vertex_at(n, (c + col0, j)) for (c, j) in p),
-                )
-                for p in paths
+                tuple(edge_at(n, (c + col0, j)) for (c, j) in p)
+                for p in self.paths[start:start + dim]
             )
-            for k, paths in self._rel.items()
+            for k, (start, dim) in self._blocks.items()
         }
 
     def dim(self, shift: int) -> int:
-        return len(self._rel.get(shift, ()))
+        return self._blocks.get(shift, (0, 0))[1]
 
     @property
     def total_dim(self) -> int:
-        return len(self.slots)
-
-    def basis_element(self, shift: int, index: int) -> "Morphism":
-        if index >= self.dim(shift):
-            raise IndexError(f"no basis element ({shift}, {index})")
-        return Morphism(self.source, self.target, {(shift, index): 1})
+        return len(self.paths)
 
     def basis(self) -> list["Morphism"]:
-        return [self.basis_element(k, i) for k, i in self.slots]
-
-    def flatten(self, mor: "Morphism") -> list[int]:
-        """Coordinates of a morphism of this space in the ``slots`` order."""
-        return [mor.coeffs.get(slot, 0) for slot in self.slots]
+        """The basis morphisms, in ``slots`` order: the unit coordinate rows."""
+        total = len(self.paths)
+        return [
+            Morphism(self.source, self.target, (0,) * u + (1,) + (0,) * (total - 1 - u))
+            for u in range(total)
+        ]
 
 
 _SPACES: dict[tuple[TaggedEdge, TaggedEdge], MorphismSpace] = {}
@@ -469,37 +426,17 @@ def morphism_space(source: TaggedEdge, target: TaggedEdge) -> MorphismSpace:
     return sp
 
 
-@dataclass
+@dataclass(frozen=True)
 class Morphism:
-    """Element of a graded Hom space, as coefficients over the stored basis."""
+    """Element of a graded Hom space: its int coordinates over the stored
+    basis of ``morphism_space(source, target)``, in ``slots`` order."""
 
     source: TaggedEdge
     target: TaggedEdge
-    coeffs: dict[tuple[int, int], int] = field(default_factory=dict)
+    coords: tuple[int, ...]
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs.values())
-
-    def normalized(self) -> dict[tuple[int, int], int]:
-        return {k: v for k, v in sorted(self.coeffs.items()) if v}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and self.source == other.source
-            and self.target == other.target
-            and self.normalized() == other.normalized()
-        )
-
-    def __str__(self) -> str:
-        if self.is_zero():
-            return f"0: {self.source} -> {self.target}"
-        parts = [f"{v}*[{k[0]};{k[1]}]" for k, v in self.normalized().items()]
-        return f"{' + '.join(parts)}: {self.source} -> {self.target}"
-
-
-def zero_morphism(source: TaggedEdge, target: TaggedEdge) -> Morphism:
-    return Morphism(source, target, {})
+        return not any(self.coords)
 
 
 def _translate_path(path, off: int, n: int, flip_forks: bool):
@@ -520,7 +457,8 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     f's shift, concatenated after f's representative, and reduced modulo
     the mesh relations into the stored basis of Hom(M, P).  Only g's
     arrows are walked: f's representative is a stored basis path.  The
-    coefficients are ints, as are those of the sweep it walks.
+    coordinates are ints, as are those of the sweep it walks; a tuple of
+    the wrong length for its space raises ``ValueError``.
     """
     if f.target != g.source:
         raise ValueError(
@@ -532,32 +470,30 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     space_f = morphism_space(m, nn)
     space_g = morphism_space(nn, p)
     space_out = morphism_space(m, p)
-    out: dict[tuple[int, int], int] = {}
-    for (k, i), a in f.coeffs.items():
+    out = [0] * space_out.total_dim
+    for (k, i), path_f, a in zip(space_f.slots, space_f.paths, f.coords, strict=True):
         if not a:
             continue
         # f's representative is the i-th basis path at its end vertex, so
         # it reduces to the i-th unit vector there without a walk
-        end = space_f._rel[k][i][-1]
+        end = path_f[-1]
         coords_f = [0] * sweep.space(end).dim
         coords_f[i] = 1
         off = end[0]  # g's path is translated to start at f's end
         flip = (k * n) % 2 == 1
-        for (l, j), b in g.coeffs.items():
+        for (l, _), path_g, b in zip(space_g.slots, space_g.paths, g.coords, strict=True):
             if not b:
                 continue
-            shifted = _translate_path(space_g._rel[l][j], off, n, flip)
+            shifted = _translate_path(path_g, off, n, flip)
             if shifted[0] != end:
                 raise MeshClosureError(
                     f"translated path of g starts at {shifted[0]}, not at f's end {end}"
                 )
             _, coords = sweep._walk(end, coords_f, shifted[1:])
+            start, dim = space_out._blocks.get(k + l, (0, 0))
             for idx, c in enumerate(coords):
                 if c:
-                    key = (k + l, idx)
-                    out[key] = out.get(key, 0) + a * b * c
-    out = {k: v for k, v in out.items() if v}
-    for (k, idx) in out:
-        if idx >= space_out.dim(k):
-            raise AssertionError("composition left the stored basis range")
-    return Morphism(m, p, out)
+                    if idx >= dim:
+                        raise AssertionError("composition left the stored basis range")
+                    out[start + idx] += a * b * c
+    return Morphism(m, p, tuple(out))

@@ -148,7 +148,7 @@ def hom_text(space: MorphismSpace, show_basis: bool = False) -> str:
         lines.append(f"  shift {k}: dimension {space.dim(k)}")
         if show_basis:
             for p in space.components[k]:
-                lines.append(f"    {p}")
+                lines.append("    " + " -> ".join(map(str, p)))
     return "\n".join(lines)
 
 

@@ -20,7 +20,7 @@ from .geometry import (
     enumerate_tagged_edges,
     tau,
 )
-from .mesh import compose, zero_morphism
+from .mesh import compose
 from .triangulation import (
     QuiverPresentation,
     Triangulation,
@@ -156,6 +156,8 @@ def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:
     for inst in instances:
         by_source.setdefault(inst[0], []).append(inst)
     entries: list[VanishingEntry] = []
+    # each path carries its composite, or None once it is zero: every
+    # extension of a zero path is zero
     frontier = [(((i, j, s),), mor) for (i, j, s, mor) in instances]
     length = 1
     while length < maxlen and frontier:
@@ -163,12 +165,11 @@ def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:
         for arrows, mor in frontier:
             tail = arrows[-1][1]
             for (i, j, s, rep) in by_source.get(tail, ()):
-                if mor.is_zero():  # every extension of a zero path is zero
-                    composite = zero_morphism(mor.source, rep.target)
-                else:
-                    composite = compose(mor, rep)
+                composite = None if mor is None else compose(mor, rep)
+                if composite is not None and composite.is_zero():
+                    composite = None
                 path = arrows + ((i, j, s),)
-                entries.append(VanishingEntry(path, composite.is_zero()))
+                entries.append(VanishingEntry(path, composite is None))
                 nxt.append((path, composite))
                 if len(entries) > _PATH_CAP:
                     raise ValueError(

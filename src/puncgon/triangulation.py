@@ -267,7 +267,7 @@ def _arrows(a: TaggedEdge, b: TaggedEdge, members) -> tuple[int, IntElim]:
         gs = morphism_space(c, b).basis()
         for f in morphism_space(a, c).basis():
             for g in gs:
-                _extend(span, space.flatten(compose(f, g)), a, b)
+                _extend(span, compose(f, g).coords, a, b)
                 if span.rank == full:
                     return 0, span
     return full - span.rank, span
@@ -344,11 +344,9 @@ def quiver_with_representatives(
             mult, span = _arrows(a, b, verts)
             if mult == 0:
                 continue
-            # the basis elements whose unit vectors extend the span, in order
-            basis = morphism_space(a, b).basis()
+            # the basis elements that extend the span, in order
             reps[(i, j)] = [
-                mor for k, mor in enumerate(basis)
-                if _extend(span, [int(k == x) for x in range(span.width)], a, b)
+                mor for mor in morphism_space(a, b).basis() if _extend(span, mor.coords, a, b)
             ]
             arrows.append((i, j, mult))
     return QuiverPresentation(tuple(verts), tuple(arrows)), reps

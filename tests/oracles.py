@@ -352,7 +352,7 @@ def _surjects(j, target, summands, coeffs) -> bool:
             vec = [Fraction(0)] * want
             for a, f in zip(coeffs[(c, s)], fs):
                 if a:
-                    prod = out.flatten(compose(g, f))
+                    prod = compose(g, f).coords
                     vec = [x + a * y for x, y in zip(vec, prod)]
             elim.add(vec)
             if elim.rank == want:

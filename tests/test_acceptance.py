@@ -10,6 +10,7 @@ from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
     TaggedEdge,
+    edge_at,
     elementary_moves,
     enumerate_tagged_edges,
     pos_inv,
@@ -19,7 +20,6 @@ from puncgon.geometry import (
 from puncgon.mesh import (
     hom_dim_closed_form,
     hom_dim_cluster,
-    mesh_vertex_at,
     zq_in_arrows,
 )
 from puncgon.tilted import ar_quiver_of_tilted, vanishing_paths_report
@@ -103,7 +103,7 @@ def test_criterion_5_ar_triangles_match_mesh_predecessors():
             tri = ar_triangle(m)
             assert tri.left == tau(m)
             assert 1 <= len(tri.middle) <= 3
-            mesh_middle = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, zq_cell(m, 1))]
+            mesh_middle = [edge_at(n, y) for y in zq_in_arrows(n, zq_cell(m, 1))]
             assert sorted(map(str, mesh_middle)) == sorted(map(str, tri.middle))
             # case shapes (at n = 3 the span-n case keeps only the radii)
             left = tri.left

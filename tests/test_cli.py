@@ -243,8 +243,7 @@ def test_flipwalk_involution_script(capsys):
 def test_flipwalk_rejects_crossing_start(capsys):
     code, out, err = run(capsys, "flipwalk", "--n", "5", "--T",
                          "0-2,1-3,0-3,0|+,0|-")
-    assert code == 2 and out == ""
-    assert "edges 0-2 and 1-3 cross (e=1)" in err
+    assert (code, out, err) == (2, "", "error: edges 0-2 and 1-3 cross (e=1)\n")
 
 
 @pytest.mark.parametrize("flag, edges", [
@@ -260,10 +259,15 @@ def test_flipwalk_rejects_empty_edge_items(capsys, flag, edges):
 
 
 def test_flipwalk_unknown_edge(capsys):
-    code, _, err = run(capsys, "flipwalk", "--n", "4", "--T",
-                       "3-1,3|+,1-3,1|+", "--script", "0-2")
-    assert code == 2
-    assert "current triangulation" in err
+    code, out, err = run(capsys, "flipwalk", "--n", "4", "--T",
+                         "3-1,3|+,1-3,1|+", "--script", "0-2")
+    assert (code, out) == (2, "")
+    assert err == "error: edge 0-2 is not in the current triangulation 1-3,3-1,1|+,3|+\n"
+    # refused after a first flip: the flip stays on stdout
+    code, out, err = run(capsys, "flipwalk", "--n", "4", "--T",
+                         "3-1,3|+,1-3,1|+", "--script", "3-1,3-1")
+    assert (code, out) == (2, "flip 3-1 -> 0|+: x[3-1] * x[0|+] = x[1|+] + x[3|+]\n")
+    assert err == "error: edge 3-1 is not in the current triangulation 1-3,0|+,1|+,3|+\n"
 
 
 def test_flipwalk_builds_random_steps_lazily(capsys):
@@ -278,8 +282,7 @@ def test_flipwalk_builds_random_steps_lazily(capsys):
 def test_flipwalk_rejects_negative_random(capsys):
     code, out, err = run(capsys, "flipwalk", "--n", "5", "--T",
                          "0-2,0-3,0-4,0|+,0|-", "--random", "-3")
-    assert code == 2 and out == ""
-    assert "--random" in err
+    assert (code, out, err) == (2, "", "error: --random must be at least 0, got -3\n")
 
 
 def test_flipwalk_random_seeded_deterministic(capsys):

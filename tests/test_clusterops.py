@@ -5,6 +5,7 @@ from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
     TaggedEdge,
+    edge_at,
     elementary_moves,
     enumerate_tagged_edges,
     grid_column,
@@ -12,7 +13,7 @@ from puncgon.geometry import (
     pos_inv,
     tau,
 )
-from puncgon.mesh import hom_dim_closed_form, mesh_vertex_at, zq_in_arrows
+from puncgon.mesh import hom_dim_closed_form, zq_in_arrows
 from puncgon.suites import suite_prop22
 
 from oracles import zq_cell
@@ -154,5 +155,5 @@ def test_ar_triangle_structure(n):
             assert hom_dim_closed_form(tri.left, s) >= 1
             assert hom_dim_closed_form(s, m) >= 1
         # middle summands match the in-arrows of m in the repetition quiver
-        preds = [mesh_vertex_at(n, y).edge for y in zq_in_arrows(n, zq_cell(m, 1))]
+        preds = [edge_at(n, y) for y in zq_in_arrows(n, zq_cell(m, 1))]
         assert sorted(map(str, preds)) == sorted(str(s) for s in tri.middle)

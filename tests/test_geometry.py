@@ -11,6 +11,7 @@ from puncgon.geometry import (
     Position,
     TaggedEdge,
     delta_len,
+    edge_at,
     edge_sort_key,
     elementary_moves,
     enumerate_tagged_edges,
@@ -243,6 +244,10 @@ def test_pos_bijection(n):
         seen.add(p)
         assert pos_inv(n, p) == e
     assert len(seen) == n * n
+    # pos_inv names a grid cell through the one cell-to-edge map
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            assert edge_at(n, (i, j)) is pos_inv(n, (i, j)), (n, i, j)
 
 
 def test_pos_inv_rejects_out_of_grid():

@@ -1,9 +1,11 @@
+import dataclasses
 import random
 
 import pytest
 
 from puncgon.geometry import (
     TaggedEdge,
+    edge_at,
     elementary_moves,
     enumerate_tagged_edges,
     pos_inv,
@@ -18,7 +20,6 @@ from puncgon.mesh import (
     hom_dim_cluster,
     hom_row_closed_form,
     hom_row_cluster,
-    mesh_vertex_at,
     morphism_space,
     zq_in_arrows,
     zq_tau,
@@ -57,7 +58,7 @@ def test_fan_slice_is_linear_type_d_quiver():
     outs = {(x, y) for x in column for y in zq_out_arrows(n, x) if y[0] == 1}
     ins = {(y, x) for x in column for y in zq_in_arrows(n, x) if y[0] == 1}
     assert outs == ins
-    arrows = {(str(mesh_vertex_at(n, x).edge), str(mesh_vertex_at(n, y).edge)) for x, y in outs}
+    arrows = {(str(edge_at(n, x)), str(edge_at(n, y))) for x, y in outs}
     assert arrows == {
         ("0-2", "0-3"),
         ("0-3", "0-4"),
@@ -87,17 +88,17 @@ def test_window_tau_matches_edge_translation():
     for c in range(1, 2 * n + 1):
         for j in range(1, n + 1):
             x = (c, j)
-            assert mesh_vertex_at(n, zq_tau(x)).edge == tau(mesh_vertex_at(n, x).edge)
+            assert edge_at(n, zq_tau(x)) == tau(edge_at(n, x))
 
 
-def test_mesh_vertex_roundtrip():
+def test_edge_at_roundtrip():
     """The package's naming of (column, level) vertices inverts the
-    oracle's placement of (shift, edge) vertices."""
-    for n in (4, 5):
+    oracle's placement of (shift, edge) vertices, the shift being the
+    copy of the grid that holds the absolute column."""
+    for n in range(3, 9):
         for c in range(-3, 3 * n):
             for j in range(1, n + 1):
-                v = mesh_vertex_at(n, (c, j))
-                assert zq_cell(v.edge, v.shift) == (c, j)
+                assert zq_cell(edge_at(n, (c, j)), (c - 1) // n) == (c, j), (n, c, j)
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +148,12 @@ def test_hom_sits_in_the_oracle_window_cells(n):
             cells = {k: relative_cell(m, other, k) for k in window_shifts(m, other)}
             assert len(cells) == 2, (m, other)
             space = morphism_space(m, other)
-            assert space._rel == {
-                k: sweep.space(cell).paths for k, cell in cells.items() if sweep.dim(cell)
-            }, (m, other)
+            kept = {k: sweep.space(cell).paths for k, cell in cells.items() if sweep.dim(cell)}
+            assert space.shifts == sorted(kept), (m, other)
+            assert space.paths == sum(kept.values(), ()), (m, other)
+            assert space.slots == tuple(
+                (k, i) for k in space.shifts for i in range(len(kept[k]))
+            ), (m, other)
             total = sum(sweep.dim(cell) for cell in cells.values())
             assert hom_dim_cluster(m, other) == hom_dim_closed_form(m, other) == total
             assert space.total_dim == total, (m, other)
@@ -389,17 +393,23 @@ def test_row_forms_reject_mixed_polygons():
 
 
 def test_morphism_space_grading_matches_dims():
-    for m in enumerate_tagged_edges(5)[:8]:
-        for other in enumerate_tagged_edges(5)[:8]:
-            sp = morphism_space(m, other)
-            assert sp.total_dim == hom_dim_cluster(m, other)
-            for k, basis in sp.components.items():
-                assert k in window_shifts(m, other)
-                for p in basis:
-                    assert p.vertices[0].edge == m and p.vertices[-1].edge == other
-                    # consecutive representative vertices form arrows
-                    for a, b in p.arrows:
-                        assert b.edge in elementary_moves(a.edge)
+    """Every pair at n = 3..7: each shift holds dim(k) basis paths, each
+    running from the source to the target by elementary moves."""
+    for n in range(3, 8):
+        edges = enumerate_tagged_edges(n)
+        for m in edges:
+            for other in edges:
+                sp = morphism_space(m, other)
+                assert sp.total_dim == hom_dim_cluster(m, other)
+                assert list(sp.components) == sp.shifts
+                for k, basis in sp.components.items():
+                    assert k in window_shifts(m, other)
+                    assert len(basis) == sp.dim(k) > 0, (m, other, k)
+                    for p in basis:
+                        assert p[0] == m and p[-1] == other, (m, other, p)
+                        # consecutive representative edges are elementary moves
+                        for a, b in zip(p, p[1:]):
+                            assert b in elementary_moves(a), (m, other, p)
 
 
 def _identity(m):
@@ -410,8 +420,8 @@ def _arrow(src, dst):
     """The morphism of the elementary move src -> dst: the one basis
     element whose representative is the single arrow."""
     sp = morphism_space(src, dst)
-    (slot,) = [(k, i) for k, i in sp.slots if len(sp.components[k][i].vertices) == 2]
-    return sp.basis_element(*slot)
+    (arrow,) = [f for f, p in zip(sp.basis(), sp.paths) if len(p) == 2]
+    return arrow
 
 
 def test_identity_composition_laws():
@@ -435,7 +445,7 @@ def test_full_mesh_compositions_vanish(n):
         total = [0] * space.total_dim
         for y in elementary_moves(tx):
             assert x in elementary_moves(y)
-            terms = space.flatten(compose(_arrow(tx, y), _arrow(y, x)))
+            terms = compose(_arrow(tx, y), _arrow(y, x)).coords
             total = [a + b for a, b in zip(total, terms)]
         assert not any(total), (x, total)
 
@@ -459,6 +469,13 @@ def test_compose_rejects_mismatched_objects():
     g = _identity(TaggedEdge(5, 0, 3))
     with pytest.raises(ValueError):
         compose(f, g)
+    # a coordinate tuple of the wrong length for its space
+    for bad in (f.coords + (0,), ()):
+        wrong = dataclasses.replace(f, coords=bad)
+        with pytest.raises(ValueError, match="zip"):
+            compose(wrong, f)
+        with pytest.raises(ValueError, match="zip"):
+            compose(f, wrong)
 
 
 def test_compose_coefficients_are_ints():
@@ -469,9 +486,9 @@ def test_compose_coefficients_are_ints():
             for f in morphism_space(a, b).basis():
                 for c in edges:
                     for g in morphism_space(b, c).basis():
-                        coeffs = compose(f, g).coeffs.values()
-                        assert all(type(v) is int for v in coeffs), (str(f), str(g))
-                        seen.update(coeffs)
+                        coords = compose(f, g).coords
+                        assert all(type(v) is int for v in coords), (f, g)
+                        seen.update(coords)
     assert {-1, 1} <= seen
 
 

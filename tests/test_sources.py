@@ -66,3 +66,42 @@ def test_oracles_take_only_mesh_primitives():
             mesh_names = set(vars(puncgon.mesh)) | {"mesh"}
             taken.update(a.name for a in node.names if a.name in mesh_names)
     assert taken <= {"ZqVertex", "zq_in_arrows", "zq_tau", "compose", "morphism_space"}
+
+
+def _private_layout(tree) -> tuple[set[str], set[str]]:
+    """The ``_``-prefixed attribute names a module defines (by a ``def``,
+    an attribute store, ``__slots__`` or ``object.__setattr__`` with a
+    constant name) and those it reads on anything other than ``self``.
+    Dunder names are left out: they belong to the language."""
+    defined, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Attribute):
+            if isinstance(node.ctx, ast.Store):
+                defined.add(node.attr)
+            elif not (isinstance(node.value, ast.Name) and node.value.id == "self"):
+                read.add(node.attr)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+        ):
+            defined.update(c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant))
+        elif (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func) == "object.__setattr__"
+            and len(node.args) > 1
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            defined.add(node.args[1].value)
+    private = {a for a in read if a.startswith("_") and not (a.startswith("__") and a.endswith("__"))}
+    return defined, private
+
+
+def test_private_attributes_are_read_where_they_are_defined():
+    """A ``_``-prefixed attribute that a module reads on something other
+    than ``self`` is defined in that same module, so a private layout
+    (the shift table of ``MorphismSpace``, the spaces of a sweep) is read
+    only next to the code that builds it."""
+    for path in sorted(SRC.glob("*.py")):
+        defined, private = _private_layout(ast.parse(path.read_text(), str(path)))
+        assert private <= defined, (path.name, sorted(private - defined))

@@ -456,9 +456,8 @@ def composite_span_inputs(n):
 
     def through(a, c, b):
         if (a, c, b) not in products:
-            space = morphism_space(a, b)
             products[a, c, b] = [
-                space.flatten(compose(f, g))
+                compose(f, g).coords
                 for f in morphism_space(a, c).basis()
                 for g in morphism_space(c, b).basis()
             ]
@@ -503,9 +502,12 @@ def test_composite_span_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
 
     def doubled(f, g):
         mor = compose(f, g)
-        for key in sorted(mor.coeffs)[:1]:
-            mor.coeffs[key] *= 2
-        return mor
+        coords = list(mor.coords)
+        for i, c in enumerate(coords):
+            if c:
+                coords[i] *= 2
+                break
+        return dataclasses.replace(mor, coords=tuple(coords))
 
     monkeypatch.setattr(triangulation, "compose", doubled)
     t, m = left_figure()
