@@ -14,7 +14,7 @@ from .geometry import (
     tau,
     tau_power,
 )
-from .crossing import crossing_number, crossing_row
+from .crossing import crossing_number, crossing_row, crossing_table
 from .mesh import (
     Morphism,
     MorphismSpace,

@@ -17,7 +17,7 @@ import sys
 
 from . import render
 from .clusterops import ext1_dim
-from .crossing import crossing_number, crossing_row
+from .crossing import crossing_number, crossing_table
 from .geometry import TaggedEdge, enumerate_tagged_edges, parse_edge_list
 from .mesh import morphism_space
 from .suites import DEFAULT_PAIRS_BOUND, SUITES, run_suites
@@ -128,7 +128,7 @@ def cmd_edges(args) -> int:
 def cmd_crossings(args) -> int:
     _require_bound(args.n, args.max_pairs, "crossing table", "--max-pairs")
     edges = enumerate_tagged_edges(args.n)
-    rows = (crossing_row(m, edges) for m in edges)
+    rows = crossing_table(args.n)
     write = sys.stdout.write
     if args.format == "json":
         render.write_crossing_json(args.n, edges, rows, write)

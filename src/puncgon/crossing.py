@@ -30,10 +30,21 @@ inside m's window and ends beyond it, the second the one that starts
 before m's window and ends inside it.
 
 :func:`crossing_row` applies the same closed form from one edge to a
-whole row of targets, with m's start, width and tag read once; the
-crossing table, dimension vectors and the all-pairs check take their
-values from it.  :func:`crossing_number` stays the pairwise reference,
-and the per-edge compatibility masks (computed once per edge) use it.
+whole row of targets, with m's start, width and tag read once; dimension
+vectors take their values from it.  :func:`crossing_number` stays the
+pairwise reference, and the per-edge compatibility masks (computed once
+per edge) use it.
+
+Turning the polygon by one vertex maps tagged edges to tagged edges,
+keeps every tag, and keeps every crossing number: the closed form reads
+only differences mod n.  :func:`crossing_table` uses that symmetry for
+the all-pairs table over :func:`enumerate_tagged_edges`.  In that order
+the first n(n - 2) edges are plain, grouped by start vertex (n - 2 per
+vertex), and the last 2n central, two per vertex.  Turning m by a steps
+moves every target's start by a, so the row of an edge with start a is
+the row of its class at vertex 0 (same width, same tag) with the plain
+block shifted right by a(n - 2) entries and the central block by 2a.
+So the table needs :func:`crossing_row` only n times, once per class.
 """
 
 from __future__ import annotations
@@ -82,6 +93,27 @@ def crossing_row(m: TaggedEdge, targets) -> list[int]:
             s, t = (c - a) % n, (a - c) % n
             append((0 < s < w_m and s + w_o > w_m) + (0 < t < w_o and w_o - t < w_m))
     return out
+
+
+def crossing_table(n: int):
+    """Yield ``crossing_row(m, edges)`` for every m of ``edges =
+    enumerate_tagged_edges(n)``, in that order, computing only the n rows
+    of the edges at vertex 0 and rotating them for the rest (see the
+    module docstring).  Holds n base rows, never the whole table; every
+    row yielded is a new list."""
+    edges = enumerate_tagged_edges(n)
+    plain, total = n * (n - 2), n * n
+    base: dict[tuple[int, int], list[int]] = {}
+    for m in edges:
+        a = m.start
+        key = ((m.end - a) % n, m.tag)
+        if not a:
+            row = base[key] = crossing_row(m, edges)
+            yield row[:]
+            continue
+        row = base[key]  # vertex 0 comes first in each class
+        p, c = plain - a * (n - 2), total - 2 * a
+        yield row[p:plain] + row[:p] + row[c:] + row[plain:c]
 
 
 @cache

@@ -241,9 +241,19 @@ _SWEEPS: dict[tuple[int, int], HomSweep] = {}
 
 
 def _sweep(n: int, src_level: int) -> HomSweep:
+    """The cached sweep out of (0, src_level).  Every Hom space of the
+    quotient lies in relative columns 0..2n - 1, so an n whose strip would
+    pass ``_MAX_COLUMNS`` is refused as an input error before any column
+    is built."""
     key = (n, src_level)
     sw = _SWEEPS.get(key)
     if sw is None:
+        if 2 * n - 1 > _MAX_COLUMNS:
+            raise ValueError(
+                f"n={n} needs {2 * n - 1} sweep columns, more than the "
+                f"{_MAX_COLUMNS} the mesh engine builds; n must be at most "
+                f"{(_MAX_COLUMNS + 1) // 2}"
+            )
         sw = _SWEEPS[key] = HomSweep(n, src_level)
     return sw
 
@@ -470,8 +480,14 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     space_f = morphism_space(m, nn)
     space_g = morphism_space(nn, p)
     space_out = morphism_space(m, p)
+    for mor, space in ((f, space_f), (g, space_g)):
+        if len(mor.coords) != space.total_dim:
+            raise ValueError(
+                f"morphism {mor.source}->{mor.target} has {len(mor.coords)} "
+                f"coordinates, its space has dimension {space.total_dim}"
+            )
     out = [0] * space_out.total_dim
-    for (k, i), path_f, a in zip(space_f.slots, space_f.paths, f.coords, strict=True):
+    for (k, i), path_f, a in zip(space_f.slots, space_f.paths, f.coords):
         if not a:
             continue
         # f's representative is the i-th basis path at its end vertex, so
@@ -481,7 +497,7 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
         coords_f[i] = 1
         off = end[0]  # g's path is translated to start at f's end
         flip = (k * n) % 2 == 1
-        for (l, _), path_g, b in zip(space_g.slots, space_g.paths, g.coords, strict=True):
+        for (l, _), path_g, b in zip(space_g.slots, space_g.paths, g.coords):
             if not b:
                 continue
             shifted = _translate_path(path_g, off, n, flip)

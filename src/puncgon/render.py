@@ -5,7 +5,10 @@
 of ``json.dumps(obj, indent=2)`` piece by piece (with ``indent`` set,
 ``json`` falls back to its pure-Python encoder), and ``crossings`` writes
 its matrix one row at a time with :func:`write_crossing_json`; the text
-table streams the same way through :func:`write_crossing_text`.
+table streams the same way through :func:`write_crossing_text`.  Both
+crossing writers join each row from the three digit strings of
+``_DIGITS`` rather than formatting every int, so an entry outside
+{0, 1, 2} raises ``KeyError`` instead of being written.
 
 JSON schemas (stable, documented in the README):
 
@@ -88,18 +91,23 @@ def _write(obj, write, nl: str) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
+# Crossing numbers lie in {0, 1, 2}; the crossing writers look each
+# entry up here, so any other value raises KeyError.
+_DIGITS = {0: "0", 1: "1", 2: "2"}
+
+
 def write_crossing_json(n: int, edges, rows, write) -> None:
     """Write ``json.dumps({"n": n, "edges": [str(e) for e in edges],
     "matrix": list(rows)}, indent=2)`` with ``rows`` yielding at least one
-    row, so no more than one row is held."""
+    non-empty row, so no more than one row is held."""
     write('{\n  "n": ' + int.__repr__(n) + ',\n  "edges": ')
     _write([str(e) for e in edges], write, "\n  ")
     write(',\n  "matrix": [')
-    sep = "\n    "
+    sep = "\n    [\n      "
+    digit = _DIGITS.__getitem__
     for row in rows:
-        write(sep)
-        _write(row, write, "\n    ")
-        sep = ",\n    "
+        write(sep + ",\n      ".join(map(digit, row)) + "\n    ]")
+        sep = ",\n    [\n      "
     write("\n  ]\n}")
 
 
@@ -125,8 +133,9 @@ def write_crossing_text(edges, rows, write) -> None:
     labels = [str(e) for e in edges]
     width = max(len(s) for s in labels)
     write(" " * (width + 1) + " ".join(s.rjust(width) for s in labels))
+    digit = {v: s.rjust(width) for v, s in _DIGITS.items()}.__getitem__
     for label, row in zip(labels, rows):
-        write("\n" + label.rjust(width) + " " + " ".join(str(v).rjust(width) for v in row))
+        write("\n" + label.rjust(width) + " " + " ".join(map(digit, row)))
 
 
 def hom_json(space: MorphismSpace) -> dict:

@@ -380,3 +380,28 @@ def test_outputs_deterministic(capsys):
         _, out1, _ = run(capsys, *args)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
+
+
+def run_process(*argv):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, stderr)."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "puncgon.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("ext", "--method", "mesh", "--n", "2001", "--source", "0-2", "--target", "0-3"),
+     "error: n=2001 needs 4001 sweep columns, more than the 4000 the mesh engine "
+     "builds; n must be at most 2000\n"),
+    (("report", "--n", "4", "--T", "0-2,2-0,0|+,0|-", "--maxlen", "100000"),
+     "error: more than 20000 arrow paths; lower maxlen\n"),
+])
+def test_size_refusals_print_one_error_line(argv, message):
+    """The mesh engine's column limit and the path cap of ``report`` (the
+    quiver of this triangulation has an oriented cycle, so its paths never
+    run out) are input errors: one line on stderr, exit 2, no traceback."""
+    assert run_process(*argv) == (2, "", message)

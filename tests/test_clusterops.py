@@ -1,6 +1,6 @@
 import pytest
 
-from puncgon import clusterops, mesh
+from puncgon import crossing, mesh
 from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
@@ -71,7 +71,7 @@ def test_verify_theorem2_detects_corruption(monkeypatch):
         return v
 
     monkeypatch.setattr(
-        clusterops, "crossing_row", lambda m, targets: [corrupted(m, o) for o in targets]
+        crossing, "crossing_row", lambda m, targets: [corrupted(m, o) for o in targets]
     )
     rep = verify_theorem2(4)
     assert not rep.passed

@@ -6,13 +6,20 @@ import random
 import pytest
 
 from puncgon.cli import main
-from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number, crossing_row
+from puncgon import crossing
+from puncgon.crossing import (
+    _canonical_bits,
+    _compat_mask,
+    crossing_number,
+    crossing_row,
+    crossing_table,
+)
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
 
 from oracles import lift_scan_crossing, n3_case_rule_crossing
 
 
-def crossing_table(n):
+def reference_table(n):
     """The full table over the canonical edge order, pair by pair from
     the reference ``crossing_number``."""
     edges = enumerate_tagged_edges(n)
@@ -105,6 +112,31 @@ def test_row_kernel_rejects_mixed_n_like_the_pairwise_form():
         crossing_row(TaggedEdge.central(5, 0, -1), [alien])
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_rotated_table_matches_the_row_kernel(n):
+    """Every row of the table, rotated from a vertex-0 row or not, is the
+    row the kernel computes directly."""
+    edges = enumerate_tagged_edges(n)
+    assert list(crossing_table(n)) == [crossing_row(m, edges) for m in edges]
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_table_computes_one_row_per_class(n, monkeypatch):
+    """n classes (width, tag) at vertex 0, so n kernel rows per table, all
+    of them for edges at vertex 0; the rows yielded are fresh lists."""
+    calls = []
+    kernel = crossing.crossing_row
+
+    def counting(m, targets):
+        calls.append(m)
+        return kernel(m, targets)
+
+    monkeypatch.setattr(crossing, "crossing_row", counting)
+    rows = list(crossing_table(n))
+    assert len(calls) == n and all(m.start == 0 for m in calls)
+    assert len({id(r) for r in rows}) == n * n
+
+
 def test_streamed_table_matches_json_dumps():
     """``crossings --format json`` writes one row at a time; its bytes are
     those of json.dumps over the whole table (the golden corpus stops at
@@ -114,7 +146,7 @@ def test_streamed_table_matches_json_dumps():
         code = main(["crossings", "--n", "24", "--max-pairs", "24", "--format", "json"])
     assert code == 0
     edges = enumerate_tagged_edges(24)
-    table = {"n": 24, "edges": [str(e) for e in edges], "matrix": crossing_table(24)}
+    table = {"n": 24, "edges": [str(e) for e in edges], "matrix": reference_table(24)}
     assert buf.getvalue() == json.dumps(table, indent=2) + "\n"
 
 
@@ -129,14 +161,14 @@ def test_streamed_text_table_matches_whole_rendering():
     labels = [str(e) for e in enumerate_tagged_edges(24)]
     width = max(len(s) for s in labels)
     lines = [" " * (width + 1) + " ".join(s.rjust(width) for s in labels)]
-    for label, row in zip(labels, crossing_table(24)):
+    for label, row in zip(labels, reference_table(24)):
         lines.append(label.rjust(width) + " " + " ".join(str(v).rjust(width) for v in row))
     assert buf.getvalue() == "\n".join(lines) + "\n"
 
 
 def test_n3_table_matches_case_rules():
     edges = enumerate_tagged_edges(3)
-    table = crossing_table(3)
+    table = reference_table(3)
     for i, m in enumerate(edges):
         for j, other in enumerate(edges):
             assert table[i][j] == n3_case_rule_crossing(m, other)
@@ -173,12 +205,12 @@ def test_shared_endpoint_properties(n):
 
 
 def test_matrix_shape_and_symmetry():
-    t = crossing_table(4)
+    t = reference_table(4)
     assert len(t) == 16 and all(len(r) == 16 for r in t)
     assert t == tuple(zip(*t))
     assert all(t[i][i] == 0 for i in range(16))
     with pytest.raises(ValueError):
-        crossing_table(2)
+        reference_table(2)
 
 
 def test_rejects_mixed_n():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from puncgon import mesh
 from puncgon.geometry import (
     TaggedEdge,
     edge_at,
@@ -14,6 +15,7 @@ from puncgon.geometry import (
 from puncgon.mesh import (
     HomSweep,
     MeshClosureError,
+    Morphism,
     RowTargets,
     compose,
     hom_dim_closed_form,
@@ -472,10 +474,39 @@ def test_compose_rejects_mismatched_objects():
     # a coordinate tuple of the wrong length for its space
     for bad in (f.coords + (0,), ()):
         wrong = dataclasses.replace(f, coords=bad)
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match="coordinates"):
             compose(wrong, f)
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match="coordinates"):
             compose(f, wrong)
+
+
+def test_compose_checks_both_lengths_when_one_side_is_zero():
+    """A zero morphism on one side still has its partner's length checked:
+    no coordinate of the zero side is nonzero, so no loop reaches the
+    other tuple."""
+    e = TaggedEdge(5, 0, 2)  # End(e) is 1-dimensional
+    zero, unit = Morphism(e, e, (0,)), Morphism(e, e, (1,))
+    for bad in ((1, 1, 1), (0, 0), ()):
+        wrong = Morphism(e, e, bad)
+        with pytest.raises(ValueError, match=f"has {len(bad)} coordinates"):
+            compose(zero, wrong)
+        with pytest.raises(ValueError, match=f"has {len(bad)} coordinates"):
+            compose(wrong, zero)
+    assert compose(zero, unit) == zero == compose(unit, zero)
+
+
+def test_compose_refuses_a_term_beyond_its_output_block(monkeypatch):
+    """The basis range check: with the stored block of End(0-2) shrunk from
+    dimension 1 to 0, the identity's square lands on index 0 of that
+    block, which is now out of range."""
+    e = TaggedEdge(5, 0, 2)
+    ident = _identity(e)
+    blocks = morphism_space(e, e)._blocks
+    start, dim = blocks[0]
+    assert dim == 1 and compose(ident, ident) == ident
+    monkeypatch.setitem(blocks, 0, (start, dim - 1))
+    with pytest.raises(AssertionError, match="left the stored basis range"):
+        compose(ident, ident)
 
 
 def test_compose_coefficients_are_ints():
@@ -509,3 +540,14 @@ def test_sweep_guard_raises_instead_of_diverging():
     sweep = _sweep(3, 1)
     with pytest.raises(MeshClosureError):
         sweep.ensure(10_000)
+
+
+def test_sweep_refuses_a_strip_beyond_the_column_limit():
+    """The largest n whose strip of 2n - 1 columns fits under
+    ``_MAX_COLUMNS`` gets a sweep; the next is an input error, refused
+    before any sweep is built or cached."""
+    top = (mesh._MAX_COLUMNS + 1) // 2
+    assert 2 * top - 1 <= mesh._MAX_COLUMNS < 2 * (top + 1) - 1
+    with pytest.raises(ValueError, match=f"n={top + 1} needs {2 * top + 1} sweep columns"):
+        _sweep(top + 1, 1)
+    assert (top + 1, 1) not in mesh._SWEEPS

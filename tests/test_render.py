@@ -1,4 +1,5 @@
-"""``render.write_json`` writes the bytes of ``json.dumps(obj, indent=2)``."""
+"""``render.write_json`` writes the bytes of ``json.dumps(obj, indent=2)``;
+the crossing writers accept only crossing numbers."""
 
 import json
 import pathlib
@@ -7,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from puncgon.render import write_json
+from puncgon.geometry import enumerate_tagged_edges
+from puncgon.render import write_crossing_json, write_crossing_text, write_json
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 MANIFEST = json.loads((GOLDEN / "MANIFEST.json").read_text())
@@ -99,3 +101,15 @@ def test_other_types_raise(bad):
             written(obj)
     with pytest.raises(TypeError):
         written({1: "int key"})
+
+
+@pytest.mark.parametrize("bad", [3, -1, "1", None])
+def test_crossing_writers_refuse_a_value_outside_0_1_2(bad):
+    """An entry a crossing number cannot take raises KeyError, in either
+    format, rather than being written."""
+    edges = enumerate_tagged_edges(3)
+    rows = [[0] * 9, [0, 1, 2, bad, 0, 0, 0, 0, 0]]
+    with pytest.raises(KeyError):
+        write_crossing_json(3, edges, iter(rows), [].append)
+    with pytest.raises(KeyError):
+        write_crossing_text(edges, iter(rows), [].append)

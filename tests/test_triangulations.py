@@ -214,6 +214,23 @@ def test_flip_requires_membership():
         flip(t, TaggedEdge(5, 1, 3))
 
 
+@pytest.mark.parametrize("extra, count", [(False, 0), (True, 2)])
+def test_flip_refuses_other_than_one_completion(monkeypatch, extra, count):
+    """With the masks' AND forced to leave no free edge, or two, flip
+    raises instead of picking one."""
+    t = fan_triangulation(5, 0)
+    m = t.edges[0]
+    _, new = flip(t, m)
+    bits = triangulation._canonical_bits(5)[1]
+    spare = next(e for e in enumerate_tagged_edges(5) if e not in t.edges and e != new)
+    common = triangulation._common
+    monkeypatch.setattr(
+        triangulation, "_common", lambda edges: common(edges) | bits[spare] if extra else 0
+    )
+    with pytest.raises(ExchangeError, match=f"has {count} completions, expected 1"):
+        flip(t, m)
+
+
 def test_fan_radius_flip_partner():
     # flipping the plus radius of the fan inserts the minus radius at the
     # clockwise-adjacent vertex, not the fan's own minus radius
