@@ -139,6 +139,8 @@ def cmd_crossings(args) -> int:
 
 
 def cmd_hom(args) -> int:
+    if args.format == "json" and (args.basis or args.grid):
+        raise ValueError("--basis and --grid print text; drop them or use --format text")
     src = TaggedEdge.parse(args.n, args.source)
     tgt = TaggedEdge.parse(args.n, args.target)
     space = morphism_space(src, tgt)
@@ -288,6 +290,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_ar_quiver(args) -> int:
+    if args.no_op and args.T is not None and args.format == "text":
+        raise ValueError("--no-op transposes arrows, which the text table of modules "
+                         "does not show; use --format json or dot")
     if args.T is None:
         t = None
         q = ar_quiver_of_category(args.n)

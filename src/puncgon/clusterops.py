@@ -92,6 +92,4 @@ def ar_triangle(m: TaggedEdge) -> ArTriangle:
     """
     left = tau(m)
     middle = tuple(sorted(elementary_moves(left), key=edge_sort_key))
-    if not 1 <= len(middle) <= 3:
-        raise AssertionError(f"AR middle of {m} has {len(middle)} summands")
     return ArTriangle(left, middle, m)

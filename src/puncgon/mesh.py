@@ -35,10 +35,12 @@ one, i.e. columns by n) are direct sums over shifts.  Morphisms out of a
 vertex vanish beyond relative column 2n - 1, so Hom(m, o) lives in two
 cells of the sweep out of m: with cm, co the grid columns of m and o and
 d = (co - cm) mod n, the relative columns d and d + n, which are the
-shifts (0, 1) when co >= cm and (1, 2) otherwise.  :class:`RowTargets`
-works out the levels of those cells, and the row kernels
-:func:`hom_row_cluster` and :func:`hom_row_closed_form` are the only
-code that places a target; the pair functions are rows of one.
+shifts (0, 1) when co >= cm and (1, 2) otherwise.  That placement rule
+is written once, in :meth:`RowTargets.window`, which maps each target to
+its first shift and its two cells.  Every Hom reader takes its cells
+from there: the row kernels :func:`hom_row_cluster` and
+:func:`hom_row_closed_form`, whose pair functions are rows of one, and
+:class:`MorphismSpace`.
 
 A Hom element has one form.  A :class:`Morphism` is its tuple of int
 coordinates over the basis paths of its :class:`MorphismSpace`, in the
@@ -295,15 +297,15 @@ def hom_dim_closed_form(m: TaggedEdge, other: TaggedEdge) -> int:
 
 class RowTargets:
     """The targets of a Hom row, in the caller's order, with the grid data
-    both row engines read worked out once.
+    every Hom reader needs worked out once.
 
     ``cells`` holds, per target, its column co and its levels at the
     absolute columns co and co + n.  A plain level is the same at both; a
     fork level follows the parity of the absolute column, so at co + 2n
-    it is the level at co again.
+    it is the level at co again.  :meth:`window` places them.
     """
 
-    __slots__ = ("n", "cells")
+    __slots__ = ("n", "cells", "_windows")
 
     def __init__(self, n: int, edges):
         self.n = n
@@ -317,43 +319,43 @@ class RowTargets:
                 level = grid_level(e)
                 cells.append((co, level, level))
         self.cells = tuple(cells)
+        self._windows = {}  # source column -> window, at most n of them
+
+    def window(self, cm: int) -> tuple[tuple[int, ZqVertex, ZqVertex], ...]:
+        """Per target, for a source in grid column cm: the first shift k, 0
+        or 1, and the sweep cells (d, level) of shift k and (d + n, level')
+        of shift k + 1.  Built once per column and kept."""
+        win = self._windows.get(cm)
+        if win is None:
+            n, win = self.n, []
+            for co, here, next_copy in self.cells:
+                if co >= cm:  # shifts 0 and 1
+                    win.append((0, (co - cm, here), (co - cm + n, next_copy)))
+                else:  # shifts 1 and 2
+                    win.append((1, (co - cm + n, next_copy), (co - cm + 2 * n, here)))
+            win = self._windows[cm] = tuple(win)
+        return win
 
 
 def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
     """Total Hom dimension from m to every target, summed over shifts: the
-    sweep dimensions at the target's two cells (the placement rule of the
-    module docstring).  The source's column, level and sweep are looked
-    up once for the whole row."""
+    sweep dimensions at the target's two window cells.  The source's
+    sweep is looked up once for the whole row."""
     _require_same_n(m, targets)
-    n = m.n
-    cm = grid_column(m)
-    sweep = _sweep(n, grid_level(m))
-    sweep.ensure(2 * n - 1)
+    sweep = _sweep(m.n, grid_level(m))
+    sweep.ensure(2 * m.n - 1)
     spaces = sweep._spaces
-    row = []
-    for co, here, next_copy in targets.cells:
-        if co >= cm:  # shifts 0 and 1
-            d, a, b = co - cm, here, next_copy
-        else:  # shifts 1 and 2
-            d, a, b = co - cm + n, next_copy, here
-        row.append(spaces[(d, a)].dim + spaces[(d + n, b)].dim)
-    return row
+    return [spaces[a].dim + spaces[b].dim for _, a, b in targets.window(grid_column(m))]
 
 
 def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
-    """Closed-form Hom dimension from m to every target.  Rotate both
-    edges so that m sits in column 1 at level mm; with (i, j) the rotated
-    position of the target, at the first of its two cells, the dimension
-    is the value of :func:`_closed_form_cell`.  The source's column and
-    level are read once for the whole row."""
+    """Closed-form Hom dimension from m to every target: with m rotated to
+    column 1 at level mm and (c, j) the first window cell of the target,
+    the value of :func:`_closed_form_cell` at (c + 1, j)."""
     _require_same_n(m, targets)
-    n = m.n
-    cm, mm = grid_column(m), grid_level(m)
+    n, mm = m.n, grid_level(m)
     cell = _closed_form_cell
-    return [
-        cell(n, mm, co - cm + 1, here) if co >= cm else cell(n, mm, co - cm + n + 1, next_copy)
-        for co, here, next_copy in targets.cells
-    ]
+    return [cell(n, mm, c + 1, j) for _, (c, j), _ in targets.window(grid_column(m))]
 
 
 # ---------------------------------------------------------------------------
@@ -377,16 +379,11 @@ class MorphismSpace:
         self.source = source
         self.target = target
         self.n = source.n
-        n, cm = self.n, grid_column(source)
-        ((co, here, next_copy),) = RowTargets(n, (target,)).cells
-        if co >= cm:  # shifts 0 and 1, as in hom_row_cluster
-            first, d, a, b = 0, co - cm, here, next_copy
-        else:  # shifts 1 and 2
-            first, d, a, b = 1, co - cm + n, next_copy, here
-        sweep = _sweep(n, grid_level(source))
+        ((first, a, b),) = RowTargets(self.n, (target,)).window(grid_column(source))
+        sweep = _sweep(self.n, grid_level(source))
         paths: list[tuple[ZqVertex, ...]] = []
         self._blocks: dict[int, tuple[int, int]] = {}  # shift -> (start, dim)
-        for k, cell in ((first, (d, a)), (first + 1, (d + n, b))):
+        for k, cell in ((first, a), (first + 1, b)):
             sp = sweep.space(cell)
             if sp.dim:
                 self._blocks[k] = (len(paths), sp.dim)

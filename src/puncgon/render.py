@@ -28,7 +28,7 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
-from .mesh import MorphismSpace, hom_dim_closed_form
+from .mesh import MorphismSpace, RowTargets, hom_dim_closed_form, hom_row_closed_form
 from .tilted import (
     CategoryQuiver,
     ModuleCategoryQuiver,
@@ -163,15 +163,16 @@ def hom_text(space: MorphismSpace, show_basis: bool = False) -> str:
 
 def hom_grid_text(n: int, source: TaggedEdge) -> str:
     """Paper-style table of Hom dimensions out of one edge: rows are levels
-    n..1, columns 1..n, dots for zero, source position marked with *."""
+    n..1, columns 1..n, dots for zero, source position marked with *.
+    Each line is one closed-form Hom row over its n targets."""
     src_pos = pos(source)
     rows = []
     for level in range(n, 0, -1):
+        targets = RowTargets(n, [pos_inv(n, (col, level)) for col in range(1, n + 1)])
         cells = []
-        for col in range(1, n + 1):
-            val = hom_dim_closed_form(source, pos_inv(n, (col, level)))
+        for col, val in enumerate(hom_row_closed_form(source, targets), start=1):
             cell = "." if val == 0 else str(val)
-            if (col, level) == tuple(src_pos):
+            if (col, level) == src_pos:
                 cell = "*" + cell
             cells.append(cell.rjust(2))
         rows.append(f"level {level:2d} |" + " ".join(cells))

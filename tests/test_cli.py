@@ -405,3 +405,18 @@ def test_size_refusals_print_one_error_line(argv, message):
     quiver of this triangulation has an oriented cycle, so its paths never
     run out) are input errors: one line on stderr, exit 2, no traceback."""
     assert run_process(*argv) == (2, "", message)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("hom", "--n", "5", "--source", "0-2", "--target", "0-3", "--format", "json", "--basis"),
+     "error: --basis and --grid print text; drop them or use --format text\n"),
+    (("hom", "--n", "5", "--source", "0-2", "--target", "0-3", "--format", "json", "--grid"),
+     "error: --basis and --grid print text; drop them or use --format text\n"),
+    (("ar-quiver", "--n", "4", "--T", "3-1,3|+,1-3,1|+", "--no-op"),
+     "error: --no-op transposes arrows, which the text table of modules does not "
+     "show; use --format json or dot\n"),
+])
+def test_flags_a_format_ignores_are_refused(argv, message):
+    """A flag the chosen output cannot show is an input error, not dropped
+    in silence: one line on stderr, exit 2, no traceback."""
+    assert run_process(*argv) == (2, "", message)

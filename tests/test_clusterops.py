@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from puncgon import crossing, mesh
+from puncgon import crossing, mesh, suites
 from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
@@ -115,6 +117,25 @@ def test_prop22_reports_a_corrupted_closed_form_cell(monkeypatch):
     expected.append(["grid(3,3)", str(pos_inv(n, (1, 3))), 1, 2])
     assert result.details["failures"] == expected
     assert f"{n ** 4} pairs mesh vs closed form, {n + 1} failures" in result.summary
+
+
+def test_ar_triangles_suite_catches_a_dropped_summand(monkeypatch):
+    """The suite checks the middle against the move sources into M, not
+    against the move targets of tau M that ``ar_triangle`` is built from:
+    a triangle missing one summand fails, and only that triangle."""
+    n, short = 6, TaggedEdge(6, 2, 1)  # tau M spans n: three summands
+
+    def dropped(m):
+        tri = ar_triangle(m)
+        return dataclasses.replace(tri, middle=tri.middle[1:]) if m == short else tri
+
+    monkeypatch.setattr(suites, "ar_triangle", dropped)
+    result = suites.suite_ar_triangles(n)
+    assert not result.passed
+    assert result.summary == f"{n * n} triangles checked, 1 failures"
+    assert result.details == {
+        "failures": [[str(short), "middle is not the set of move sources into M"]]
+    }
 
 
 def test_ar_triangle_case_shapes():

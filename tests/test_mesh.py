@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from puncgon import mesh
+from puncgon import mesh, suites
 from puncgon.geometry import (
     TaggedEdge,
     edge_at,
@@ -379,6 +379,67 @@ def test_row_forms_match_pair_functions_seeded(n):
     edges = enumerate_tagged_edges(n)
     for m in random.Random(f"rows:{n}").sample(edges, 8):
         _assert_rows_match_pairs(m, edges)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_window_is_the_oracle_placement(n):
+    """For every source and every target, plain and tau-shifted (odd n
+    swaps the fork levels between the two copies): the window holds the
+    first of the oracle's two window shifts and the oracle's cells of
+    both."""
+    edges = enumerate_tagged_edges(n)
+    for targets in (edges, [tau(e) for e in edges]):
+        row_targets = RowTargets(n, targets)
+        for m in edges:
+            want = []
+            for other in targets:
+                first, second = window_shifts(m, other)
+                assert second == first + 1, (m, other)
+                want.append(
+                    (first, relative_cell(m, other, first), relative_cell(m, other, second))
+                )
+            assert row_targets.window(zq_cell(m, 0)[0]) == tuple(want), m
+
+
+def test_every_hom_reader_follows_the_window(monkeypatch):
+    """One placement rule, three readers: with ``window`` corrupted to put
+    every target at the cells of one decoy, both row kernels and the
+    morphism space read the decoy's Hom instead of the target's."""
+    n = 6
+    m, decoy = TaggedEdge.parse(n, "0-5"), TaggedEdge.parse(n, "3-0")
+    want = morphism_space(m, decoy)
+    assert want.total_dim == 2
+    others = [o for o in enumerate_tagged_edges(n) if hom_dim_closed_form(m, o) != 2]
+    window = RowTargets.window
+
+    def corrupted(self, cm):
+        return window(RowTargets(self.n, (decoy,)), cm) * len(self.cells)
+
+    monkeypatch.setattr(RowTargets, "window", corrupted)
+    monkeypatch.setattr(mesh, "_SPACES", {})
+    targets = RowTargets(n, others)
+    assert hom_row_cluster(m, targets) == [2] * len(others)
+    assert hom_row_closed_form(m, targets) == [2] * len(others)
+    for other in others:
+        space = morphism_space(m, other)
+        assert (space.shifts, space.paths) == (want.shifts, want.paths), other
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_prop22_keeps_at_most_n_windows_per_target_set(monkeypatch, n):
+    """One prop22 pass builds each source column's window once per
+    RowTargets: the all-pairs targets hold n windows, the n = 6 reference
+    grid one."""
+    made = []
+
+    class Recorded(RowTargets):
+        def __init__(self, n, edges):
+            super().__init__(n, edges)
+            made.append(self)
+
+    monkeypatch.setattr(suites, "RowTargets", Recorded)
+    assert suites.suite_prop22(n).passed
+    assert [len(t._windows) for t in made] == ([n, 1] if n == 6 else [n])
 
 
 def test_row_forms_reject_mixed_polygons():

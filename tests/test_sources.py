@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "puncgon"
@@ -44,6 +45,21 @@ def test_only_linalg_uses_fractions():
                 mentions.add(path.name)
     assert importers == {"linalg.py"}
     assert mentions == {"linalg.py"}
+
+
+def test_package_imports_only_the_standard_library():
+    """puncgon is a pure-stdlib engine: every absolute import in the
+    package names a standard-library module (relative imports stay inside
+    the package)."""
+    foreign = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                continue
+            for name in _imported_modules(node):
+                if name.split(".")[0] not in sys.stdlib_module_names:
+                    foreign.add((path.name, name))
+    assert not foreign
 
 
 def test_oracles_take_only_mesh_primitives():
