@@ -8,36 +8,27 @@ from typing import Callable
 
 from .crossing import crossing_table
 from .geometry import TaggedEdge, edge_sort_key, elementary_moves, enumerate_tagged_edges, tau
-from .mesh import (
-    RowTargets,
-    hom_dim_closed_form,
-    hom_dim_cluster,
-    hom_row_closed_form,
-    hom_row_cluster,
-)
-
-PairHom = Callable[[TaggedEdge, TaggedEdge], int]
-RowHom = Callable[[TaggedEdge, RowTargets], list[int]]
+from .mesh import RowTargets, hom_row_closed_form, hom_row_cluster
 
 
-def _hom_engine(method: str) -> tuple[PairHom, RowHom]:
-    """The pair and row functions of the Hom engine named by ``method``:
-    "closed" evaluates the grid closed form (the bulk fast path), "mesh"
-    sums path-space dimensions over all shifts.  The names resolve at call
-    time, so a wrapper put on an engine function after import is the one
-    returned."""
+def _hom_engine(method: str) -> Callable[[TaggedEdge, RowTargets], list[int]]:
+    """The row function of the Hom engine named by ``method``: "closed"
+    evaluates the grid closed form (the bulk fast path), "mesh" reads the
+    sweep dimension at each target's window cell.  The names resolve at
+    call time, so a wrapper put on an engine function after import is the
+    one returned."""
     if method == "closed":
-        return hom_dim_closed_form, hom_row_closed_form
+        return hom_row_closed_form
     if method == "mesh":
-        return hom_dim_cluster, hom_row_cluster
+        return hom_row_cluster
     raise ValueError(f"unknown method {method!r}, expected 'closed' or 'mesh'")
 
 
 def ext1_dim(m: TaggedEdge, other: TaggedEdge, method: str = "closed") -> int:
     """dim Ext^1(m, other) = dim Hom(m, tau other), with the Hom engine
-    picked by ``method`` ("closed" or "mesh")."""
-    pair, _ = _hom_engine(method)
-    return pair(m, tau(other))
+    picked by ``method`` ("closed" or "mesh"): its row to the one target
+    tau(other)."""
+    return _hom_engine(method)(m, RowTargets(m.n, (tau(other),)))[0]
 
 
 @dataclass(frozen=True)
@@ -58,7 +49,7 @@ def verify_theorem2(n: int, method: str = "closed") -> TheoremReport:
     each m, one Hom row of m over the tau images of all edges, each tau
     image computed once, against m's row of :func:`crossing_table`.  A row
     is walked pair by pair only when the two differ."""
-    _, hom_row = _hom_engine(method)
+    hom_row = _hom_engine(method)
     edges = enumerate_tagged_edges(n)
     shifted = RowTargets(n, map(tau, edges))
     failures = []

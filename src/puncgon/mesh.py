@@ -31,23 +31,23 @@ test suite certifies the sweep against a literal oracle that enumerates
 every path and subtracts the exact rank of the relations u * m_X * v.
 
 Hom spaces in the quotient by the full rotation rho (which shifts k by
-one, i.e. columns by n) are direct sums over shifts.  Morphisms out of a
-vertex vanish beyond relative column 2n - 1, so Hom(m, o) lives in two
-cells of the sweep out of m: with cm, co the grid columns of m and o and
-d = (co - cm) mod n, the relative columns d and d + n, which are the
-shifts (0, 1) when co >= cm and (1, 2) otherwise.  That placement rule
+one, i.e. columns by n) are direct sums over shifts, and at most one
+summand is nonzero.  Hom(x, -) vanishes past tau^-(n-2) x, which is
+relative column n - 2, and the shifted copies of a target lie n columns
+apart, so only the copy at relative column d = (co - cm) mod n can carry
+Hom, with cm, co the grid columns of m and o: shift 0 when co >= cm and
+shift 1 otherwise.  So Hom(m, o) is one cell of the sweep out of m, and
+the sweep is the strip of relative columns 0..n - 1.  That placement rule
 is written once, in :meth:`RowTargets.window`, which maps each target to
-its first shift and its two cells.  Every Hom reader takes its cells
-from there: the row kernels :func:`hom_row_cluster` and
-:func:`hom_row_closed_form`, whose pair functions are rows of one, and
-:class:`MorphismSpace`.
+its shift and its cell.  Every Hom reader takes its cell from there: the
+row kernels :func:`hom_row_cluster` and :func:`hom_row_closed_form`,
+whose pair functions are rows of one, and :class:`MorphismSpace`.
 
 A Hom element has one form.  A :class:`Morphism` is its tuple of int
-coordinates over the basis paths of its :class:`MorphismSpace`, in the
-space's flat ``slots`` order, and :func:`compose` reads and writes that
-tuple directly.  A basis path is a tuple of sweep cells; it is shown as
-the tuple of tagged edges it passes through, each named by
-:func:`puncgon.geometry.edge_at`.
+coordinates over the basis paths of its :class:`MorphismSpace`, and
+:func:`compose` reads and writes that tuple directly.  A basis path is a
+tuple of sweep cells; it is shown as the tuple of tagged edges it passes
+through, each named by :func:`puncgon.geometry.edge_at`.
 """
 
 from __future__ import annotations
@@ -92,13 +92,15 @@ def zq_tau(v: ZqVertex) -> ZqVertex:
 
 
 class MeshClosureError(RuntimeError):
-    """Internal consistency failure: the column strip refused to close."""
+    """Internal consistency failure of the sweep or of a composite: a mesh
+    relation with a pivot other than -1 or 1, or a path that leaves the
+    cell it must end at."""
 
 
 # ---------------------------------------------------------------------------
 # exact column sweep: Hom(source, -) with explicit path-class bases
 
-_MAX_COLUMNS = 4000
+_MAX_N = 2000
 
 
 class _Space:
@@ -118,10 +120,13 @@ _ZERO_SPACE = _Space(0, (), (), (), ())
 class HomSweep:
     """Hom spaces out of one source vertex, swept column by column.
 
-    The source sits at relative column 0; each vertex x stores a basis of
-    Hom(source, x) given by lexicographically first independent paths,
-    together with the projection of every incoming composition onto that
-    basis.  At vertex x the incoming direct sum over the in-arrows y is
+    The source sits at relative column 0.  The constructor builds the
+    strip of relative columns 0..n - 1 once, every cell a window can
+    name; off it :meth:`space` is the zero space, since Hom out of the
+    source vanishes past column n - 2.  Each vertex x of the strip stores
+    a basis of Hom(source, x) given by lexicographically first
+    independent paths, together with the projection of every incoming
+    composition onto that basis.  At vertex x the incoming direct sum over the in-arrows y is
     divided by the image of Hom(source, tau x) under the mesh map; this
     is the path space modulo all relations u * m_X * v, peeled off one
     final arrow at a time.
@@ -143,24 +148,12 @@ class HomSweep:
         self.n = n
         self.src: ZqVertex = (0, src_level)
         self._spaces: dict[ZqVertex, _Space] = {}
-        self._hi = -1
-
-    def ensure(self, hi_col: int):
-        if hi_col > _MAX_COLUMNS:
-            raise MeshClosureError(
-                f"column strip failed to close below {_MAX_COLUMNS} columns"
-            )
-        while self._hi < hi_col:
-            c = self._hi + 1
-            for j in range(1, self.n + 1):
+        for c in range(n):
+            for j in range(1, n + 1):
                 self._spaces[(c, j)] = self._compute((c, j))
-            self._hi = c
 
     def space(self, v: ZqVertex) -> _Space:
-        if v[0] < 0 or not (1 <= v[1] <= self.n):
-            return _ZERO_SPACE
-        self.ensure(v[0])
-        return self._spaces[v]
+        return self._spaces.get(v, _ZERO_SPACE)
 
     def dim(self, v: ZqVertex) -> int:
         return self.space(v).dim
@@ -243,18 +236,15 @@ _SWEEPS: dict[tuple[int, int], HomSweep] = {}
 
 
 def _sweep(n: int, src_level: int) -> HomSweep:
-    """The cached sweep out of (0, src_level).  Every Hom space of the
-    quotient lies in relative columns 0..2n - 1, so an n whose strip would
-    pass ``_MAX_COLUMNS`` is refused as an input error before any column
-    is built."""
+    """The cached sweep out of (0, src_level).  Its strip has n columns of
+    n cells, so an n above ``_MAX_N`` is refused as an input error before
+    any column is built."""
     key = (n, src_level)
     sw = _SWEEPS.get(key)
     if sw is None:
-        if 2 * n - 1 > _MAX_COLUMNS:
+        if n > _MAX_N:
             raise ValueError(
-                f"n={n} needs {2 * n - 1} sweep columns, more than the "
-                f"{_MAX_COLUMNS} the mesh engine builds; n must be at most "
-                f"{(_MAX_COLUMNS + 1) // 2}"
+                f"n={n} is too large for the mesh engine; n must be at most {_MAX_N}"
             )
         sw = _SWEEPS[key] = HomSweep(n, src_level)
     return sw
@@ -265,8 +255,8 @@ def _sweep(n: int, src_level: int) -> HomSweep:
 
 
 def hom_dim_cluster(m: TaggedEdge, other: TaggedEdge) -> int:
-    """Total Hom dimension in the rotation quotient, summed over shifts:
-    the row of :func:`hom_row_cluster` to the one target ``other``."""
+    """Total Hom dimension in the rotation quotient, read at the window
+    cell: the row of :func:`hom_row_cluster` to the one target ``other``."""
     return hom_row_cluster(m, RowTargets(m.n, (other,)))[0]
 
 
@@ -301,8 +291,8 @@ class RowTargets:
 
     ``cells`` holds, per target, its column co and its levels at the
     absolute columns co and co + n.  A plain level is the same at both; a
-    fork level follows the parity of the absolute column, so at co + 2n
-    it is the level at co again.  :meth:`window` places them.
+    fork level follows the parity of the absolute column.  :meth:`window`
+    places them.
     """
 
     __slots__ = ("n", "cells", "_windows")
@@ -321,41 +311,36 @@ class RowTargets:
         self.cells = tuple(cells)
         self._windows = {}  # source column -> window, at most n of them
 
-    def window(self, cm: int) -> tuple[tuple[int, ZqVertex, ZqVertex], ...]:
-        """Per target, for a source in grid column cm: the first shift k, 0
-        or 1, and the sweep cells (d, level) of shift k and (d + n, level')
-        of shift k + 1.  Built once per column and kept."""
+    def window(self, cm: int) -> tuple[tuple[int, ZqVertex], ...]:
+        """Per target, for a source in grid column cm: the one shift k, 0 or
+        1, that can carry Hom and its sweep cell, at relative column
+        (co - cm) mod n.  Built once per column and kept."""
         win = self._windows.get(cm)
         if win is None:
             n, win = self.n, []
             for co, here, next_copy in self.cells:
-                if co >= cm:  # shifts 0 and 1
-                    win.append((0, (co - cm, here), (co - cm + n, next_copy)))
-                else:  # shifts 1 and 2
-                    win.append((1, (co - cm + n, next_copy), (co - cm + 2 * n, here)))
+                win.append((0, (co - cm, here)) if co >= cm else (1, (co - cm + n, next_copy)))
             win = self._windows[cm] = tuple(win)
         return win
 
 
 def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
-    """Total Hom dimension from m to every target, summed over shifts: the
-    sweep dimensions at the target's two window cells.  The source's
-    sweep is looked up once for the whole row."""
+    """Total Hom dimension from m to every target: the sweep dimension at
+    the target's window cell.  The source's sweep is looked up once for
+    the whole row."""
     _require_same_n(m, targets)
-    sweep = _sweep(m.n, grid_level(m))
-    sweep.ensure(2 * m.n - 1)
-    spaces = sweep._spaces
-    return [spaces[a].dim + spaces[b].dim for _, a, b in targets.window(grid_column(m))]
+    spaces = _sweep(m.n, grid_level(m))._spaces
+    return [spaces[cell].dim for _, cell in targets.window(grid_column(m))]
 
 
 def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
     """Closed-form Hom dimension from m to every target: with m rotated to
-    column 1 at level mm and (c, j) the first window cell of the target,
-    the value of :func:`_closed_form_cell` at (c + 1, j)."""
+    column 1 at level mm and (c, j) the window cell of the target, the
+    value of :func:`_closed_form_cell` at (c + 1, j)."""
     _require_same_n(m, targets)
     n, mm = m.n, grid_level(m)
     cell = _closed_form_cell
-    return [cell(n, mm, c + 1, j) for _, (c, j), _ in targets.window(grid_column(m))]
+    return [cell(n, mm, c + 1, j) for _, (c, j) in targets.window(grid_column(m))]
 
 
 # ---------------------------------------------------------------------------
@@ -365,56 +350,44 @@ def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
 class MorphismSpace:
     """Graded Hom space between two tagged edges in the rotation quotient.
 
-    Its basis is, shift by shift, the lexicographically first independent
-    set of paths modulo the mesh relations, kept as the sweep paths of
-    (column, level) cells relative to the source.  ``paths`` lists every
-    basis path, shifts ascending, and ``slots`` the ``(shift, index)`` of
-    each: this flat order is the coordinate order of a :class:`Morphism`.
-    ``shifts`` lists, ascending, the shifts with nonzero Hom, and
-    ``components`` maps each to its paths as the tuples of tagged edges
-    they pass through, built on first access.
+    Only the window's one shift can carry Hom, so the space is one sweep
+    cell: ``shift`` and ``cell`` are the target's window placement, and
+    ``paths`` the cell's basis, the lexicographically first independent
+    set of paths modulo the mesh relations, as tuples of (column, level)
+    cells relative to the source.  Their order is the coordinate order of
+    a :class:`Morphism`.  ``shifts`` lists the shifts with nonzero Hom
+    (``shift`` or none), and ``components`` maps each to its paths as the
+    tuples of tagged edges they pass through, built on first access.
     """
 
     def __init__(self, source: TaggedEdge, target: TaggedEdge):
         self.source = source
         self.target = target
         self.n = source.n
-        ((first, a, b),) = RowTargets(self.n, (target,)).window(grid_column(source))
-        sweep = _sweep(self.n, grid_level(source))
-        paths: list[tuple[ZqVertex, ...]] = []
-        self._blocks: dict[int, tuple[int, int]] = {}  # shift -> (start, dim)
-        for k, cell in ((first, a), (first + 1, b)):
-            sp = sweep.space(cell)
-            if sp.dim:
-                self._blocks[k] = (len(paths), sp.dim)
-                paths.extend(sp.paths)
-        self.paths = tuple(paths)
-        self.slots = tuple((k, i) for k in self.shifts for i in range(self.dim(k)))
+        ((self.shift, self.cell),) = RowTargets(self.n, (target,)).window(grid_column(source))
+        self.paths = _sweep(self.n, grid_level(source)).space(self.cell).paths
 
     @property
     def shifts(self) -> list[int]:
-        return list(self._blocks)
+        return [self.shift] if self.paths else []
 
     @cached_property
     def components(self) -> dict[int, tuple[tuple[TaggedEdge, ...], ...]]:
         n, col0 = self.n, grid_column(self.source)
         return {
-            k: tuple(
-                tuple(edge_at(n, (c + col0, j)) for (c, j) in p)
-                for p in self.paths[start:start + dim]
-            )
-            for k, (start, dim) in self._blocks.items()
+            k: tuple(tuple(edge_at(n, (c + col0, j)) for (c, j) in p) for p in self.paths)
+            for k in self.shifts
         }
 
     def dim(self, shift: int) -> int:
-        return self._blocks.get(shift, (0, 0))[1]
+        return len(self.paths) if shift == self.shift else 0
 
     @property
     def total_dim(self) -> int:
         return len(self.paths)
 
     def basis(self) -> list["Morphism"]:
-        """The basis morphisms, in ``slots`` order: the unit coordinate rows."""
+        """The basis morphisms, in ``paths`` order: the unit coordinate rows."""
         total = len(self.paths)
         return [
             Morphism(self.source, self.target, (0,) * u + (1,) + (0,) * (total - 1 - u))
@@ -436,7 +409,7 @@ def morphism_space(source: TaggedEdge, target: TaggedEdge) -> MorphismSpace:
 @dataclass(frozen=True)
 class Morphism:
     """Element of a graded Hom space: its int coordinates over the stored
-    basis of ``morphism_space(source, target)``, in ``slots`` order."""
+    basis of ``morphism_space(source, target)``, in ``paths`` order."""
 
     source: TaggedEdge
     target: TaggedEdge
@@ -465,7 +438,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     the mesh relations into the stored basis of Hom(M, P).  Only g's
     arrows are walked: f's representative is a stored basis path.  The
     coordinates are ints, as are those of the sweep it walks; a tuple of
-    the wrong length for its space raises ``ValueError``.
+    the wrong length for its space raises ``ValueError``, and a nonzero
+    walk that ends off the cell of Hom(M, P) raises
+    :class:`MeshClosureError`.
     """
     if f.target != g.source:
         raise ValueError(
@@ -484,29 +459,31 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
                 f"coordinates, its space has dimension {space.total_dim}"
             )
     out = [0] * space_out.total_dim
-    for (k, i), path_f, a in zip(space_f.slots, space_f.paths, f.coords):
+    end = space_f.cell  # every basis path of f ends at its space's cell
+    flip = (space_f.shift * n) % 2 == 1
+    for i, a in enumerate(f.coords):
         if not a:
             continue
-        # f's representative is the i-th basis path at its end vertex, so
-        # it reduces to the i-th unit vector there without a walk
-        end = path_f[-1]
-        coords_f = [0] * sweep.space(end).dim
+        # f's representative is the i-th basis path at its end cell, so it
+        # reduces to the i-th unit vector there without a walk
+        coords_f = [0] * space_f.total_dim
         coords_f[i] = 1
-        off = end[0]  # g's path is translated to start at f's end
-        flip = (k * n) % 2 == 1
-        for (l, _), path_g, b in zip(space_g.slots, space_g.paths, g.coords):
+        for path_g, b in zip(space_g.paths, g.coords):
             if not b:
                 continue
-            shifted = _translate_path(path_g, off, n, flip)
+            # g's path is translated to start at f's end
+            shifted = _translate_path(path_g, end[0], n, flip)
             if shifted[0] != end:
                 raise MeshClosureError(
                     f"translated path of g starts at {shifted[0]}, not at f's end {end}"
                 )
-            _, coords = sweep._walk(end, coords_f, shifted[1:])
-            start, dim = space_out._blocks.get(k + l, (0, 0))
+            last, coords = sweep._walk(end, coords_f, shifted[1:])
+            if not any(coords):
+                continue
+            if last != space_out.cell:
+                raise MeshClosureError(
+                    f"composite ends at {last}, not at the cell {space_out.cell} of its space"
+                )
             for idx, c in enumerate(coords):
-                if c:
-                    if idx >= dim:
-                        raise AssertionError("composition left the stored basis range")
-                    out[start + idx] += a * b * c
+                out[idx] += a * b * c
     return Morphism(m, p, tuple(out))

@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
-from .geometry import TaggedEdge, edge_sort_key, tau
+from .geometry import _EDGES, TaggedEdge, edge_sort_key, tau
 from .linalg import IntElim, PivotError
 from .mesh import Morphism, compose, morphism_space
 
@@ -111,8 +111,14 @@ class Triangulation:
 
 
 def _reject_listing(n: int, edges) -> None:
-    """Raise for an edge listed twice, or else for an edge of another
-    polygon: the first such edge in :func:`edge_sort_key` order."""
+    """Raise for the first listed member that is not an interned edge; or
+    else for an edge listed twice, or else for an edge of another polygon,
+    naming the first such edge in :func:`edge_sort_key` order."""
+    for i, e in enumerate(edges):
+        fields = tuple(getattr(e, f, None) for f in ("n", "start", "end", "tag"))
+        if not isinstance(e, TaggedEdge) or _EDGES.get(fields) is not e:
+            what = "a TaggedEdge not in the edge table" if isinstance(e, TaggedEdge) else repr(e)
+            raise ValueError(f"member {i} is not an edge of the {n}-gon: {what}")
     counts = Counter(edges)
     twice = [e for e in edges if counts[e] > 1]
     if twice:

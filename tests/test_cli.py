@@ -395,8 +395,7 @@ def run_process(*argv):
 
 @pytest.mark.parametrize("argv, message", [
     (("ext", "--method", "mesh", "--n", "2001", "--source", "0-2", "--target", "0-3"),
-     "error: n=2001 needs 4001 sweep columns, more than the 4000 the mesh engine "
-     "builds; n must be at most 2000\n"),
+     "error: n=2001 is too large for the mesh engine; n must be at most 2000\n"),
     (("report", "--n", "4", "--T", "0-2,2-0,0|+,0|-", "--maxlen", "100000"),
      "error: more than 20000 arrow paths; lower maxlen\n"),
 ])

@@ -124,9 +124,10 @@ def test_cluster_dims_bounded_by_two(n):
 
 @pytest.mark.parametrize("n", range(3, 13))
 def test_hom_vanishes_beyond_the_window(n):
-    """The law the two-cell placement rests on: out of every source
-    level, the knitted dimensions vanish at every relative column from 2n
-    to 4n, and the sweep agrees with them on all of columns 0..4n."""
+    """The law the one-cell placement rests on: out of every source
+    level, the knitted dimensions vanish at every relative column from
+    n - 1 to 4n, so no cell past the sweep's strip of columns 0..n - 1
+    carries Hom, and the sweep agrees with them on all of columns 0..4n."""
     last = 4 * n
     for level in range(1, n + 1):
         knit = hom_dims_by_knitting(n, level, last)
@@ -134,14 +135,14 @@ def test_hom_vanishes_beyond_the_window(n):
         for c in range(last + 1):
             for j in range(1, n + 1):
                 assert sweep.dim((c, j)) == knit[(c, j)], (n, level, (c, j))
-                assert c <= 2 * n - 1 or knit[(c, j)] == 0, (n, level, (c, j))
+                assert c <= n - 2 or knit[(c, j)] == 0, (n, level, (c, j))
 
 
 @pytest.mark.parametrize("n", range(3, 11))
 def test_hom_sits_in_the_oracle_window_cells(n):
     """Against the oracle's own placement, for every pair: the window
-    holds exactly two shifts, the morphism space keeps the sweep bases
-    of exactly the nonzero window cells (each basis path ends at its
+    holds exactly two shifts, the later cell is zero, the morphism space
+    keeps the sweep basis of the first cell (each basis path ends at its
     cell), and both pair functions sum the window cells."""
     edges = enumerate_tagged_edges(n)
     for m in edges:
@@ -149,13 +150,13 @@ def test_hom_sits_in_the_oracle_window_cells(n):
         for other in edges:
             cells = {k: relative_cell(m, other, k) for k in window_shifts(m, other)}
             assert len(cells) == 2, (m, other)
+            first, later = sorted(cells)
+            assert sweep.dim(cells[later]) == 0, (m, other)
             space = morphism_space(m, other)
             kept = {k: sweep.space(cell).paths for k, cell in cells.items() if sweep.dim(cell)}
             assert space.shifts == sorted(kept), (m, other)
-            assert space.paths == sum(kept.values(), ()), (m, other)
-            assert space.slots == tuple(
-                (k, i) for k in space.shifts for i in range(len(kept[k]))
-            ), (m, other)
+            assert space.paths == sweep.space(cells[first]).paths, (m, other)
+            assert all(p[-1] == cells[first] for p in space.paths), (m, other)
             total = sum(sweep.dim(cell) for cell in cells.values())
             assert hom_dim_cluster(m, other) == hom_dim_closed_form(m, other) == total
             assert space.total_dim == total, (m, other)
@@ -294,7 +295,6 @@ def test_sweep_spaces_are_greedy_lex_bases(n):
     for level in range(1, n + 1):
         knit = hom_dims_by_knitting(n, level, last)
         sweep = _sweep(n, level)
-        sweep.ensure(last)
         for c in range(last + 1):
             for j in range(1, n + 1):
                 x = (c, j)
@@ -385,9 +385,12 @@ def test_row_forms_match_pair_functions_seeded(n):
 def test_window_is_the_oracle_placement(n):
     """For every source and every target, plain and tau-shifted (odd n
     swaps the fork levels between the two copies): the window holds the
-    first of the oracle's two window shifts and the oracle's cells of
-    both."""
+    first of the oracle's two window shifts and the oracle's cell of it,
+    and the oracle's cell at the second shift has knitted dimension 0."""
     edges = enumerate_tagged_edges(n)
+    knit = {
+        level: hom_dims_by_knitting(n, level, 2 * n - 1) for level in range(1, n + 1)
+    }
     for targets in (edges, [tau(e) for e in edges]):
         row_targets = RowTargets(n, targets)
         for m in edges:
@@ -395,9 +398,8 @@ def test_window_is_the_oracle_placement(n):
             for other in targets:
                 first, second = window_shifts(m, other)
                 assert second == first + 1, (m, other)
-                want.append(
-                    (first, relative_cell(m, other, first), relative_cell(m, other, second))
-                )
+                assert knit[zq_cell(m, 0)[1]][relative_cell(m, other, second)] == 0, (m, other)
+                want.append((first, relative_cell(m, other, first)))
             assert row_targets.window(zq_cell(m, 0)[0]) == tuple(want), m
 
 
@@ -557,17 +559,21 @@ def test_compose_checks_both_lengths_when_one_side_is_zero():
 
 
 def test_compose_refuses_a_term_beyond_its_output_block(monkeypatch):
-    """The basis range check: with the stored block of End(0-2) shrunk from
-    dimension 1 to 0, the identity's square lands on index 0 of that
-    block, which is now out of range."""
-    e = TaggedEdge(5, 0, 2)
-    ident = _identity(e)
-    blocks = morphism_space(e, e)._blocks
-    start, dim = blocks[0]
-    assert dim == 1 and compose(ident, ident) == ident
-    monkeypatch.setitem(blocks, 0, (start, dim - 1))
-    with pytest.raises(AssertionError, match="left the stored basis range"):
-        compose(ident, ident)
+    """The output cell check: with the cell of Hom(0-2, 0-4) moved off the
+    cell where the composite of the arrows 0-2 -> 0-3 -> 0-4 ends, the
+    nonzero composite ends outside its space, which is refused.  f, g and
+    their composite lie in three different spaces, so the translated
+    start of g, read off f's space, still matches."""
+    a, b, c = (TaggedEdge(5, 0, end) for end in (2, 3, 4))
+    (f,), (g,) = morphism_space(a, b).basis(), morphism_space(b, c).basis()
+    space_out = morphism_space(a, c)
+    assert compose(f, g) == space_out.basis()[0]
+    cell = space_out.cell
+    moved = (cell[0] + 1, cell[1])
+    monkeypatch.setattr(space_out, "cell", moved)
+    with pytest.raises(MeshClosureError) as info:
+        compose(f, g)
+    assert str(info.value) == f"composite ends at {cell}, not at the cell {moved} of its space"
 
 
 def test_compose_coefficients_are_ints():
@@ -589,26 +595,18 @@ def test_sweep_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
     in-arrow from the source corrupted from 1 to 2, the mesh relation at
     (1, 1), whose translate is the source, has pivot 2."""
     sweep = HomSweep(4, 1)  # a fresh sweep, so the cached ones stay intact
-    sweep.ensure(0)
     space = sweep.space((0, 2))
     assert space.proj == ((1,),)
     monkeypatch.setattr(space, "proj", ((2,),))
     with pytest.raises(MeshClosureError, match=r"vertex \(1, 1\) has pivot 2,"):
-        sweep.ensure(1)
-
-
-def test_sweep_guard_raises_instead_of_diverging():
-    sweep = _sweep(3, 1)
-    with pytest.raises(MeshClosureError):
-        sweep.ensure(10_000)
+        sweep._compute((1, 1))
 
 
 def test_sweep_refuses_a_strip_beyond_the_column_limit():
-    """The largest n whose strip of 2n - 1 columns fits under
-    ``_MAX_COLUMNS`` gets a sweep; the next is an input error, refused
-    before any sweep is built or cached."""
-    top = (mesh._MAX_COLUMNS + 1) // 2
-    assert 2 * top - 1 <= mesh._MAX_COLUMNS < 2 * (top + 1) - 1
-    with pytest.raises(ValueError, match=f"n={top + 1} needs {2 * top + 1} sweep columns"):
-        _sweep(top + 1, 1)
-    assert (top + 1, 1) not in mesh._SWEEPS
+    """n = 2000 is the largest n the mesh engine sweeps; the next is an
+    input error, refused before any sweep is built or cached."""
+    assert mesh._MAX_N == 2000
+    with pytest.raises(ValueError) as info:
+        _sweep(2001, 1)
+    assert str(info.value) == "n=2001 is too large for the mesh engine; n must be at most 2000"
+    assert (2001, 1) not in mesh._SWEEPS

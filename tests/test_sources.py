@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -30,6 +31,17 @@ def _words(node) -> list[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         return [node.value]
     return []
+
+
+def test_sources_parse_at_the_declared_python_floor():
+    """Every module of the package parses with the grammar of the oldest
+    Python that ``pyproject.toml`` admits.  The floor is read with a regex,
+    since ``tomllib`` is newer than the floor itself."""
+    pyproject = (TESTS.parent / "pyproject.toml").read_text()
+    major, minor = re.search(r'requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', pyproject).groups()
+    floor = (int(major), int(minor))
+    for path in sorted(SRC.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=floor)
 
 
 def test_only_linalg_uses_fractions():
@@ -116,7 +128,7 @@ def _private_layout(tree) -> tuple[set[str], set[str]]:
 def test_private_attributes_are_read_where_they_are_defined():
     """A ``_``-prefixed attribute that a module reads on something other
     than ``self`` is defined in that same module, so a private layout
-    (the shift table of ``MorphismSpace``, the spaces of a sweep) is read
+    (the windows of ``RowTargets``, the spaces of a sweep) is read
     only next to the code that builds it."""
     for path in sorted(SRC.glob("*.py")):
         defined, private = _private_layout(ast.parse(path.read_text(), str(path)))

@@ -108,6 +108,29 @@ def test_foreign_edge_rejected():
     assert str(info.value) == "edge 3-5 belongs to n=6, not n=5"
 
 
+def test_member_that_is_not_an_edge_rejected():
+    """A string, None, or a TaggedEdge that is not the interned edge of its
+    fields (as after the edge table is rebuilt, or with no fields at all)
+    is named by its position, ahead of a duplicate and of an edge of
+    another polygon."""
+    real, other = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
+    stale = object.__new__(TaggedEdge)
+    for name, value in vars(real).items():
+        object.__setattr__(stale, name, value)
+    assert stale is not real and str(stale) == str(real)
+    missing = "a TaggedEdge not in the edge table"
+    for member, what in [
+        ("0-2", "'0-2'"),
+        (None, "None"),
+        (stale, missing),
+        (object.__new__(TaggedEdge), missing),
+    ]:
+        for edges in [(real, other, member), (real, real, member, TaggedEdge(6, 0, 2))]:
+            with pytest.raises(ValueError) as info:
+                Triangulation(5, edges)
+            assert str(info.value) == f"member 2 is not an edge of the 5-gon: {what}"
+
+
 def test_duplicate_reported_before_crossing_and_foreign_edges():
     e02, e13 = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
     for edges in [(e02, e13, e02), (e13, e02, e13), (TaggedEdge(6, 0, 2), e13, e13)]:
