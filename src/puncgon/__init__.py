@@ -40,9 +40,8 @@ from .triangulation import (
     quiver_of_triangulation,
 )
 from .tilted import (
-    CategoryQuiver,
+    ArQuiver,
     DimensionVector,
-    ModuleCategoryQuiver,
     VanishingReport,
     ar_quiver_of_category,
     ar_quiver_of_tilted,

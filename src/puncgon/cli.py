@@ -8,7 +8,6 @@ flipwalk, report, ar-quiver.  All randomized behavior takes an explicit
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
 import json
 import os
@@ -252,7 +251,7 @@ def cmd_report(args) -> int:
     tilted = ar_quiver_of_tilted(t)
     if args.format == "dot":
         print(render.quiver_dot(shown))
-        print(render.tilted_quiver_dot(tilted))
+        print(render.ar_quiver_dot(tilted))
         return 0
     if args.format == "json":
         _print_json({
@@ -267,7 +266,7 @@ def cmd_report(args) -> int:
                 for e in vanishing.entries
             ],
             "boundary_note": "factors on boundary segments contribute 1",
-            "modules": render.tilted_quiver_json(tilted),
+            "modules": render.ar_quiver_json(tilted),
         })
         return 0
     print(f"triangulation T = {t}")
@@ -293,20 +292,14 @@ def cmd_ar_quiver(args) -> int:
     if args.no_op and args.T is not None and args.format == "text":
         raise ValueError("--no-op transposes arrows, which the text table of modules "
                          "does not show; use --format json or dot")
-    if args.T is None:
-        t = None
-        q = ar_quiver_of_category(args.n)
-        dot, to_json = render.category_quiver_dot, render.category_quiver_json
-    else:
-        t = _parse_triangulation(args.n, args.T)
-        q = ar_quiver_of_tilted(t)
-        dot, to_json = render.tilted_quiver_dot, render.tilted_quiver_json
+    t = None if args.T is None else _parse_triangulation(args.n, args.T)
+    q = ar_quiver_of_category(args.n) if t is None else ar_quiver_of_tilted(t)
     if args.no_op:
-        q = dataclasses.replace(q, arrows=tuple((b, a) for a, b in q.arrows))
+        q = q.transposed()
     if args.format == "dot":
-        print(dot(q))
+        print(render.ar_quiver_dot(q))
     elif args.format == "json":
-        _print_json(to_json(q))
+        _print_json(render.ar_quiver_json(q))
     elif t is None:
         print(f"{len(q.vertices)} vertices, {len(q.arrows)} arrows")
         for a, b in q.arrows:

@@ -21,6 +21,9 @@ JSON schemas (stable, documented in the README):
   ar-quiver  {"n", "T": [str] | null,
               "vertices": [{"edge", "dimvec" | null}],
               "arrows": [[from, to]], "tau": [[from, to]]}
+
+Both AR quivers are one :class:`tilted.ArQuiver`, so each ar-quiver
+format has one writer, whether or not the quiver has a T.
 """
 
 from __future__ import annotations
@@ -29,11 +32,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
 from .mesh import MorphismSpace, RowTargets, hom_dim_closed_form, hom_row_closed_form
-from .tilted import (
-    CategoryQuiver,
-    ModuleCategoryQuiver,
-    loewy_string,
-)
+from .tilted import ArQuiver, loewy_string
 from .triangulation import QuiverPresentation, Triangulation
 
 
@@ -217,42 +216,31 @@ def quiver_dot(q: QuiverPresentation) -> str:
     return _dot("endomorphism_quiver", nodes, arrows)
 
 
-def category_quiver_json(q: CategoryQuiver) -> dict:
+def ar_quiver_json(q: ArQuiver) -> dict:
+    t, dimvecs = q.triangulation, q.dimvecs or [None] * len(q.vertices)
     return {
         "n": q.n,
-        "T": None,
-        "vertices": [{"edge": str(v), "dimvec": None} for v in q.vertices],
-        "arrows": [[str(a), str(b)] for a, b in q.arrows],
-        "tau": [[str(a), str(b)] for a, b in q.tau_pairs],
-    }
-
-
-def category_quiver_dot(q: CategoryQuiver) -> str:
-    nodes = [(str(v), f"{v} {pos(v)}") for v in q.vertices]
-    return _dot("ar_quiver", nodes, [(str(a), str(b)) for a, b in q.arrows])
-
-
-def tilted_quiver_json(q: ModuleCategoryQuiver) -> dict:
-    return {
-        "n": q.triangulation.n,
-        "T": [str(e) for e in q.triangulation.edges],
+        "T": None if t is None else [str(e) for e in t.edges],
         "vertices": [
-            {"edge": str(v), "dimvec": list(dv.coords)}
-            for v, dv in zip(q.vertices, q.dimvecs)
+            {"edge": str(v), "dimvec": None if dv is None else list(dv.coords)}
+            for v, dv in zip(q.vertices, dimvecs)
         ],
         "arrows": [[str(a), str(b)] for a, b in q.arrows],
         "tau": [[str(a), str(b)] for a, b in q.tau_pairs],
     }
 
 
-def tilted_quiver_dot(q: ModuleCategoryQuiver) -> str:
-    nodes = [
-        (str(v), f"{v} {dv}") for v, dv in zip(q.vertices, q.dimvecs)
-    ]
-    return _dot("tilted_ar_quiver", nodes, [(str(a), str(b)) for a, b in q.arrows])
+def ar_quiver_dot(q: ArQuiver) -> str:
+    """Label each node by its grid position, or by its dimension vector."""
+    if q.dimvecs is None:
+        name, labels = "ar_quiver", map(pos, q.vertices)
+    else:
+        name, labels = "tilted_ar_quiver", q.dimvecs
+    nodes = [(str(v), f"{v} {label}") for v, label in zip(q.vertices, labels)]
+    return _dot(name, nodes, [(str(a), str(b)) for a, b in q.arrows])
 
 
-def dimvec_table_text(q: ModuleCategoryQuiver, gabriel: QuiverPresentation) -> str:
+def dimvec_table_text(q: ArQuiver, gabriel: QuiverPresentation) -> str:
     lines = ["edge\tdimvec\tloewy"]
     for v, dv in zip(q.vertices, q.dimvecs):
         lines.append(f"{v}\t{dv}\t{loewy_string(dv, gabriel)}")

@@ -1,6 +1,7 @@
 """Cluster-tilted algebras of a triangulation T: dimension vectors of the
-quotient-category modules, the AR quiver of the ambient category, the AR
-quiver of mod End(T)^op obtained by deleting T, and zero-relation probes.
+quotient-category modules, the AR quivers, and zero-relation probes.
+One type, :class:`ArQuiver`, holds the AR quiver of the category and
+that of mod End(T)^op, which is the category's with T deleted.
 
 A module over End(T)^op is determined here only by its dimension vector,
 whose coordinate at T_i is the crossing number with T_i; the stacked
@@ -10,7 +11,7 @@ and is display sugar only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .crossing import crossing_row
 from .geometry import (
@@ -58,17 +59,31 @@ def dimension_vector(m: TaggedEdge, t: Triangulation) -> DimensionVector:
 
 
 @dataclass(frozen=True)
-class CategoryQuiver:
-    """AR quiver of the whole category: all n**2 tagged edges, arrows the
-    elementary moves, translation tau, wrapping cyclically."""
+class ArQuiver:
+    """AR quiver of the category: all n**2 tagged edges, arrows the
+    elementary moves, translation tau.  With a ``triangulation`` T, that
+    of mod End(T)^op: T deleted and each survivor labeled by its
+    dimension vector in ``dimvecs``.  Both are None for the category."""
 
     n: int
+    triangulation: Triangulation | None
     vertices: tuple[TaggedEdge, ...]
+    dimvecs: tuple[DimensionVector, ...] | None
     arrows: tuple[tuple[TaggedEdge, TaggedEdge], ...]
     tau_pairs: tuple[tuple[TaggedEdge, TaggedEdge], ...]
 
+    def dimvec(self, m: TaggedEdge) -> DimensionVector:
+        if self.dimvecs is None:
+            raise ValueError("the AR quiver of the category has no T, so no dimension vectors")
+        if m not in self.vertices:
+            raise ValueError(f"{m} is not a vertex: the vertices are the edges not in T")
+        return self.dimvecs[self.vertices.index(m)]
 
-def ar_quiver_of_category(n: int) -> CategoryQuiver:
+    def transposed(self) -> "ArQuiver":
+        return replace(self, arrows=tuple((b, a) for a, b in self.arrows))
+
+
+def ar_quiver_of_category(n: int) -> ArQuiver:
     if n < 3:
         raise ValueError(f"polygon size must be >= 3, got n={n}")
     vertices = tuple(enumerate_tagged_edges(n))
@@ -78,25 +93,10 @@ def ar_quiver_of_category(n: int) -> CategoryQuiver:
         for target in sorted(elementary_moves(m), key=edge_sort_key)
     )
     tau_pairs = tuple((m, tau(m)) for m in vertices)
-    return CategoryQuiver(n, vertices, arrows, tau_pairs)
+    return ArQuiver(n, None, vertices, None, arrows, tau_pairs)
 
 
-@dataclass(frozen=True)
-class ModuleCategoryQuiver:
-    """AR quiver of mod End(T)^op: the category quiver with T deleted and
-    every surviving vertex labeled by its dimension vector."""
-
-    triangulation: Triangulation
-    vertices: tuple[TaggedEdge, ...]
-    dimvecs: tuple[DimensionVector, ...]
-    arrows: tuple[tuple[TaggedEdge, TaggedEdge], ...]
-    tau_pairs: tuple[tuple[TaggedEdge, TaggedEdge], ...]
-
-    def dimvec(self, m: TaggedEdge) -> DimensionVector:
-        return self.dimvecs[self.vertices.index(m)]
-
-
-def ar_quiver_of_tilted(t: Triangulation) -> ModuleCategoryQuiver:
+def ar_quiver_of_tilted(t: Triangulation) -> ArQuiver:
     full = ar_quiver_of_category(t.n)
     deleted = set(t.edges)
     vertices = tuple(v for v in full.vertices if v not in deleted)
@@ -107,7 +107,7 @@ def ar_quiver_of_tilted(t: Triangulation) -> ModuleCategoryQuiver:
     tau_pairs = tuple(
         (a, b) for a, b in full.tau_pairs if a not in deleted and b not in deleted
     )
-    return ModuleCategoryQuiver(t, vertices, dimvecs, arrows, tau_pairs)
+    return ArQuiver(t.n, t, vertices, dimvecs, arrows, tau_pairs)
 
 
 @dataclass(frozen=True)

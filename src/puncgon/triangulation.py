@@ -61,12 +61,18 @@ class Triangulation:
         n = self.n
         # below n = 3 there are no edges, so every listed edge is foreign
         order, bits = _canonical_bits(n) if n >= 3 else ((), {})
-        given, members = tuple(self.edges), 0
-        for e in given:
-            bit = bits.get(e, 0)
-            if not bit or members & bit:
-                _reject_listing(n, given)
-            members |= bit
+        try:
+            given, members = tuple(self.edges), 0
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of edges, got {self.edges!r}") from None
+        try:
+            for e in given:
+                bit = bits.get(e, 0)
+                if not bit or members & bit:
+                    _reject_listing(n, given)
+                members |= bit
+        except TypeError:  # an unhashable member
+            _reject_listing(n, given)
         edges, common, rest = [], -1, members
         while rest:
             low = rest & -rest

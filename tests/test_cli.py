@@ -8,7 +8,7 @@ import pytest
 
 from puncgon.cli import main
 from puncgon.suites import DEFAULT_PAIRS_BOUND, PAIR_SUITES, SUITES, SuiteResult
-from puncgon.triangulation import Triangulation
+from puncgon.triangulation import Triangulation, fan_triangulation
 
 
 def run(capsys, *argv):
@@ -360,6 +360,32 @@ def test_ar_quiver_no_op_transposes(capsys):
     a1 = json.loads(out1)["arrows"]
     a2 = json.loads(out2)["arrows"]
     assert sorted(map(tuple, a1)) == sorted((b, a) for a, b in a2)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@pytest.mark.parametrize("fan", [False, True], ids=["category", "fan"])
+def test_ar_quiver_no_op_dot_reverses_each_arrow(capsys, n, fan):
+    """--no-op keeps every other DOT line and reverses each arrow line in
+    place."""
+    argv = ["ar-quiver", "--n", str(n), "--format", "dot"]
+    if fan:
+        argv += ["--T", str(fan_triangulation(n))]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    code, noop, _ = run(capsys, *argv, "--no-op")
+    assert code == 0
+    plain, noop = plain.splitlines(), noop.splitlines()
+    assert len(plain) == len(noop)
+    arrows = 0
+    for a, b in zip(plain, noop):
+        if " -> " in a:
+            source, target = a.strip().rstrip(";").split(" -> ")
+            assert b == f"  {target} -> {source};"
+            arrows += 1
+        else:
+            assert a == b
+    assert arrows > 0
+    assert sum("[label=" in line for line in plain) == (n * n - n if fan else n * n)
 
 
 def test_ar_quiver_tilted_dot_is_wellformed(capsys):

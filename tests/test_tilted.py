@@ -163,6 +163,24 @@ def test_tilted_quiver_counts(n):
             assert a not in t.edges and b not in t.edges
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_transposed_twice_is_the_quiver(n):
+    for q in (ar_quiver_of_category(n), ar_quiver_of_tilted(fan_triangulation(n))):
+        once = q.transposed()
+        assert once.arrows == tuple((b, a) for a, b in q.arrows)
+        assert once.tau_pairs == q.tau_pairs and once.vertices == q.vertices
+        assert once.transposed() == q
+
+
+def test_dimvec_refuses_a_quiver_without_t_and_a_member_of_t():
+    with pytest.raises(ValueError, match="^the AR quiver of the category has no T"):
+        ar_quiver_of_category(4).dimvec(TaggedEdge(4, 0, 2))
+    t = paper_example_triangulation()
+    with pytest.raises(ValueError) as info:
+        ar_quiver_of_tilted(t).dimvec(T1)
+    assert str(info.value) == f"{T1} is not a vertex: the vertices are the edges not in T"
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fan_tilted_matches_classical_knitting(n):
     fan = fan_triangulation(n, 0)

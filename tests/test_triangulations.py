@@ -109,10 +109,11 @@ def test_foreign_edge_rejected():
 
 
 def test_member_that_is_not_an_edge_rejected():
-    """A string, None, or a TaggedEdge that is not the interned edge of its
-    fields (as after the edge table is rebuilt, or with no fields at all)
-    is named by its position, ahead of a duplicate and of an edge of
-    another polygon."""
+    """A string, None, an unhashable list, or a TaggedEdge that is not the
+    interned edge of its fields (as after the edge table is rebuilt, or
+    with no fields at all) is named by its position, ahead of a duplicate
+    and of an edge of another polygon.  An edge argument that is not
+    iterable gets its own error."""
     real, other = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
     stale = object.__new__(TaggedEdge)
     for name, value in vars(real).items():
@@ -122,6 +123,7 @@ def test_member_that_is_not_an_edge_rejected():
     for member, what in [
         ("0-2", "'0-2'"),
         (None, "None"),
+        (["0-3"], "['0-3']"),
         (stale, missing),
         (object.__new__(TaggedEdge), missing),
     ]:
@@ -129,6 +131,10 @@ def test_member_that_is_not_an_edge_rejected():
             with pytest.raises(ValueError) as info:
                 Triangulation(5, edges)
             assert str(info.value) == f"member 2 is not an edge of the 5-gon: {what}"
+    for edges in [5, None]:
+        with pytest.raises(ValueError) as info:
+            Triangulation(5, edges)
+        assert str(info.value) == f"edges must be an iterable of edges, got {edges}"
 
 
 def test_duplicate_reported_before_crossing_and_foreign_edges():
