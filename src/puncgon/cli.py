@@ -8,6 +8,7 @@ flipwalk, report, ar-quiver.  All randomized behavior takes an explicit
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -36,7 +37,10 @@ from .triangulation import (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process on the first call (not at
+    import); parsing leaves it unchanged, so every command shares it."""
     p = argparse.ArgumentParser(
         prog="puncgon",
         description="Tagged-edge engine for the once-punctured polygon",

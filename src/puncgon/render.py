@@ -242,6 +242,6 @@ def ar_quiver_dot(q: ArQuiver) -> str:
 
 def dimvec_table_text(q: ArQuiver, gabriel: QuiverPresentation) -> str:
     lines = ["edge\tdimvec\tloewy"]
-    for v, dv in zip(q.vertices, q.dimvecs):
+    for v, dv in zip(q.vertices, q.require_dimvecs()):
         lines.append(f"{v}\t{dv}\t{loewy_string(dv, gabriel)}")
     return "\n".join(lines)

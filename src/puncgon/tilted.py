@@ -72,12 +72,17 @@ class ArQuiver:
     arrows: tuple[tuple[TaggedEdge, TaggedEdge], ...]
     tau_pairs: tuple[tuple[TaggedEdge, TaggedEdge], ...]
 
-    def dimvec(self, m: TaggedEdge) -> DimensionVector:
+    def require_dimvecs(self) -> tuple[DimensionVector, ...]:
+        """``dimvecs``, or a ValueError for the quiver of the category."""
         if self.dimvecs is None:
             raise ValueError("the AR quiver of the category has no T, so no dimension vectors")
+        return self.dimvecs
+
+    def dimvec(self, m: TaggedEdge) -> DimensionVector:
+        dimvecs = self.require_dimvecs()
         if m not in self.vertices:
             raise ValueError(f"{m} is not a vertex: the vertices are the edges not in T")
-        return self.dimvecs[self.vertices.index(m)]
+        return dimvecs[self.vertices.index(m)]
 
     def transposed(self) -> "ArQuiver":
         return replace(self, arrows=tuple((b, a) for a, b in self.arrows))

@@ -10,6 +10,7 @@ algorithm it certifies.
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -101,6 +102,26 @@ def lowest_first_maximal_sets(n: int) -> list[tuple[int, ...]]:
 
     extend([], set(range(len(edges))), set())
     return out
+
+
+def brute_force_maximal_cliques(vertices: int, edges) -> list[tuple[int, ...]]:
+    """Every maximal clique of the graph on ``range(vertices)`` with the
+    given undirected edges, as an increasing tuple, in lexicographic
+    order: every vertex subset is tried, and a clique is kept when no
+    vertex outside it is adjacent to all of its members."""
+    adjacent = {frozenset(e) for e in edges}
+
+    def is_clique(s):
+        return all(frozenset(p) in adjacent for p in itertools.combinations(s, 2))
+
+    out = []
+    for size in range(vertices + 1):
+        for s in itertools.combinations(range(vertices), size):
+            if is_clique(s) and not any(
+                is_clique(s + (v,)) for v in range(vertices) if v not in s
+            ):
+                out.append(s)
+    return sorted(out)
 
 
 def n3_case_rule_crossing(m: TaggedEdge, other: TaggedEdge) -> int:

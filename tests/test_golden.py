@@ -17,6 +17,7 @@ import sys
 
 import pytest
 
+from puncgon import cli
 from puncgon.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -30,6 +31,21 @@ def test_cli_output_matches_golden(name):
         code = main(MANIFEST[name])
     assert code == 0
     assert buf.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_one_parser_serves_a_rejection_and_then_a_golden_case(capsys):
+    """The parser is built once per process and parsing leaves it as it
+    was: after argparse rejects a command, a valid one still gives the
+    golden stdout, and both go through one parser."""
+    cli.build_parser.cache_clear()
+    with pytest.raises(SystemExit) as info:
+        main(["report", "--n", "5", "--format", "svg"])
+    assert info.value.code == 2
+    assert "invalid choice: 'svg'" in capsys.readouterr().err
+    name = "report-n5.txt"
+    assert main(MANIFEST[name]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def _record_copy(tmp_path, edit):

@@ -5,6 +5,7 @@ import pytest
 
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, elementary_moves, enumerate_tagged_edges, pos, tau
+from puncgon.render import dimvec_table_text
 from puncgon.tilted import (
     ar_quiver_of_category,
     ar_quiver_of_tilted,
@@ -173,9 +174,14 @@ def test_transposed_twice_is_the_quiver(n):
 
 
 def test_dimvec_refuses_a_quiver_without_t_and_a_member_of_t():
-    with pytest.raises(ValueError, match="^the AR quiver of the category has no T"):
-        ar_quiver_of_category(4).dimvec(TaggedEdge(4, 0, 2))
+    # the dimension-vector table refuses a quiver without T the same way
     t = paper_example_triangulation()
+    category = ar_quiver_of_category(4)
+    for read in (lambda: category.dimvec(TaggedEdge(4, 0, 2)),
+                 lambda: dimvec_table_text(category, quiver_of_triangulation(t))):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == "the AR quiver of the category has no T, so no dimension vectors"
     with pytest.raises(ValueError) as info:
         ar_quiver_of_tilted(t).dimvec(T1)
     assert str(info.value) == f"{T1} is not a vertex: the vertices are the edges not in T"

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import random
+import sys
 from collections import Counter
 from math import comb
 
@@ -26,6 +28,7 @@ from puncgon.triangulation import (
 import oracles
 from oracles import (
     admits_surjections,
+    brute_force_maximal_cliques,
     int_rank,
     lowest_first_maximal_sets,
     minimal_approximation,
@@ -164,6 +167,63 @@ def test_counts_against_formula(n):
 def test_pivoted_search_keeps_lowest_first_order(n):
     # the same sets, in the same order, as the unpivoted lowest-first search
     assert maximal_noncrossing_sets(n) == lowest_first_maximal_sets(n)
+
+
+def _neighbour_masks(vertices, edges):
+    nbrs = [0] * vertices
+    for a, b in edges:
+        nbrs[a] |= 1 << b
+        nbrs[b] |= 1 << a
+    return nbrs
+
+
+def _clique_cases():
+    """Seeded random graphs on 0..10 vertices at several densities, then
+    the edgeless and complete graphs on 0..10 vertices."""
+    rng = random.Random(20)
+    for i in range(400):
+        vertices, density = rng.randrange(11), rng.random()
+        pairs = itertools.combinations(range(vertices), 2)
+        yield f"random{i}", vertices, [p for p in pairs if rng.random() < density]
+    for vertices in range(11):
+        yield f"edgeless{vertices}", vertices, []
+        yield f"complete{vertices}", vertices, list(itertools.combinations(range(vertices), 2))
+
+
+def test_maximal_cliques_match_brute_force_on_any_graph():
+    # tagged-edge graphs never give a child that an excluded vertex
+    # blocks, so the parent's blocking checks are only tested here
+    for name, vertices, edges in _clique_cases():
+        got = triangulation._maximal_cliques(_neighbour_masks(vertices, edges))
+        assert got == brute_force_maximal_cliques(vertices, edges), name
+
+
+def test_maximal_cliques_blocked_compatible_pair():
+    # The root pivot is 1, so the root branches on 0, 1 and 2.  The branch
+    # on 2 has the adjacent candidates {3, 6} and the excluded 0, which is
+    # adjacent to both: {2, 3, 6} is not maximal, since 0 extends it.
+    edges = [(0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 6)]
+    got = triangulation._maximal_cliques(_neighbour_masks(7, edges))
+    assert got == brute_force_maximal_cliques(7, edges)
+    assert (2, 3, 6) not in got and (0, 2, 3, 6) in got
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_every_search_call_has_three_candidates(n):
+    # the parent settles every child with at most two candidates, so past
+    # the root no call of the search sees fewer than three
+    sizes = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name == "extend":
+            sizes.append(frame.f_locals["candidates"].bit_count())
+
+    sys.setprofile(profile)
+    try:
+        maximal_noncrossing_sets(n)
+    finally:
+        sys.setprofile(None)
+    assert sizes[0] == n * n and min(sizes[1:], default=3) >= 3
 
 
 @pytest.mark.parametrize("n", range(3, 9))
