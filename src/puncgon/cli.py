@@ -31,8 +31,8 @@ from .triangulation import (
     DEFAULT_LEMMA3_BOUND,
     Triangulation,
     _require_bound,
-    enumerate_triangulations,
     exchange_sides,
+    maximal_noncrossing_sets,
     quiver_of_triangulation,
 )
 
@@ -196,15 +196,16 @@ def cmd_verify(args) -> int:
 
 
 def cmd_triangulations(args) -> int:
-    tris = enumerate_triangulations(args.n, max_n=args.max_enum)
+    # the search's own sets; the CLI tests re-check them as Triangulations
+    _require_bound(args.n, args.max_enum)
+    names = [str(e) for e in enumerate_tagged_edges(args.n)]
+    sets = [[names[i] for i in s] for s in maximal_noncrossing_sets(args.n)]
     if args.format == "json":
-        _print_json(
-            {"n": args.n, "count": len(tris), "triangulations": [str(t).split(",") for t in tris]}
-        )
+        _print_json({"n": args.n, "count": len(sets), "triangulations": sets})
     else:
-        print(f"{len(tris)} triangulations of the punctured {args.n}-gon")
-        for t in tris:
-            print(f"  {t}")
+        print(f"{len(sets)} triangulations of the punctured {args.n}-gon")
+        for s in sets:
+            print("  " + ",".join(s))
     return 0
 
 
@@ -216,7 +217,7 @@ def cmd_flipwalk(args) -> int:
     rng = random.Random(args.seed)
     # random steps are placeholders, chosen at walk time
     steps = itertools.chain(script, itertools.repeat(None, args.random))
-    out = {"n": args.n, "start": str(t).split(","), "steps": []}
+    out = {"n": args.n, "start": [str(e) for e in t.edges], "steps": []}
     current = t
     for chosen in steps:
         edge = chosen if chosen is not None else rng.choice(current.edges)
@@ -235,9 +236,9 @@ def cmd_flipwalk(args) -> int:
             "side_factors": [str(f) for f in data.side_factors],
             "coside_factors": [str(f) for f in data.coside_factors],
             "relation": relation,
-            "triangulation": str(current).split(","),
+            "triangulation": [str(e) for e in current.edges],
         })
-    out["final"] = str(current).split(",")
+    out["final"] = [str(e) for e in current.edges]
     if args.format == "json":
         _print_json(out)
     else:

@@ -436,7 +436,9 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     The representative of g is translated by the rotation power matching
     f's shift, concatenated after f's representative, and reduced modulo
     the mesh relations into the stored basis of Hom(M, P).  Only g's
-    arrows are walked: f's representative is a stored basis path.  The
+    arrows are walked, once per basis path of g: the walk is linear, so
+    it carries f's whole coordinate tuple over the stored basis at f's
+    end cell.  The
     coordinates are ints, as are those of the sweep it walks; a tuple of
     the wrong length for its space raises ``ValueError``, and a nonzero
     walk that ends off the cell of Hom(M, P) raises
@@ -461,29 +463,22 @@ def compose(f: Morphism, g: Morphism) -> Morphism:
     out = [0] * space_out.total_dim
     end = space_f.cell  # every basis path of f ends at its space's cell
     flip = (space_f.shift * n) % 2 == 1
-    for i, a in enumerate(f.coords):
-        if not a:
+    for path_g, b in zip(space_g.paths, g.coords):
+        if not b or not any(f.coords):
             continue
-        # f's representative is the i-th basis path at its end cell, so it
-        # reduces to the i-th unit vector there without a walk
-        coords_f = [0] * space_f.total_dim
-        coords_f[i] = 1
-        for path_g, b in zip(space_g.paths, g.coords):
-            if not b:
-                continue
-            # g's path is translated to start at f's end
-            shifted = _translate_path(path_g, end[0], n, flip)
-            if shifted[0] != end:
-                raise MeshClosureError(
-                    f"translated path of g starts at {shifted[0]}, not at f's end {end}"
-                )
-            last, coords = sweep._walk(end, coords_f, shifted[1:])
-            if not any(coords):
-                continue
-            if last != space_out.cell:
-                raise MeshClosureError(
-                    f"composite ends at {last}, not at the cell {space_out.cell} of its space"
-                )
-            for idx, c in enumerate(coords):
-                out[idx] += a * b * c
+        # g's path is translated to start at f's end
+        shifted = _translate_path(path_g, end[0], n, flip)
+        if shifted[0] != end:
+            raise MeshClosureError(
+                f"translated path of g starts at {shifted[0]}, not at f's end {end}"
+            )
+        last, coords = sweep._walk(end, list(f.coords), shifted[1:])
+        if not any(coords):
+            continue
+        if last != space_out.cell:
+            raise MeshClosureError(
+                f"composite ends at {last}, not at the cell {space_out.cell} of its space"
+            )
+        for idx, c in enumerate(coords):
+            out[idx] += b * c
     return Morphism(m, p, tuple(out))

@@ -37,6 +37,8 @@ class DimensionVector:
     coords: tuple[int, ...]
 
     def __getitem__(self, edge: TaggedEdge) -> int:
+        if edge not in self.labels:
+            raise ValueError(f"{edge} is not a label: the labels are the edges of T")
         return self.coords[self.labels.index(edge)]
 
     @property

@@ -98,10 +98,17 @@ class Triangulation:
 
     @classmethod
     def of(cls, edges) -> "Triangulation":
-        edges = list(edges)
+        """The triangulation of ``edges`` in the polygon of the first one."""
+        try:
+            edges = tuple(edges)
+        except TypeError:
+            raise ValueError(f"edges must be an iterable of edges, got {edges!r}") from None
         if not edges:
             raise ValueError("empty edge set")
-        return cls(edges[0].n, tuple(edges))
+        n = getattr(edges[0], "n", None)
+        if not isinstance(n, int):  # no polygon to check the rest against
+            raise ValueError(f"member 0 is not an edge: {_describe(edges[0])}")
+        return cls(n, edges)
 
     def __contains__(self, e: TaggedEdge) -> bool:
         return bool(self._members & _canonical_bits(self.n)[1].get(e, 0))
@@ -123,14 +130,18 @@ def _reject_listing(n: int, edges) -> None:
     for i, e in enumerate(edges):
         fields = tuple(getattr(e, f, None) for f in ("n", "start", "end", "tag"))
         if not isinstance(e, TaggedEdge) or _EDGES.get(fields) is not e:
-            what = "a TaggedEdge not in the edge table" if isinstance(e, TaggedEdge) else repr(e)
-            raise ValueError(f"member {i} is not an edge of the {n}-gon: {what}")
+            raise ValueError(f"member {i} is not an edge of the {n}-gon: {_describe(e)}")
     counts = Counter(edges)
     twice = [e for e in edges if counts[e] > 1]
     if twice:
         raise ValueError(f"edge {min(twice, key=edge_sort_key)} is listed more than once")
     e = min((e for e in edges if e.n != n), key=edge_sort_key)
     raise ValueError(f"edge {e} belongs to n={e.n}, not n={n}")
+
+
+def _describe(e) -> str:
+    """A listed member that is not an interned edge, as errors name it."""
+    return "a TaggedEdge not in the edge table" if isinstance(e, TaggedEdge) else repr(e)
 
 
 def _common(edges) -> int:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import pytest
 
 from puncgon.cli import main
+from puncgon.geometry import parse_edge_list
 from puncgon.suites import DEFAULT_PAIRS_BOUND, PAIR_SUITES, SUITES, SuiteResult
 from puncgon.triangulation import Triangulation, fan_triangulation
 
@@ -138,6 +140,25 @@ def test_triangulations_json_count(capsys):
     code, out, _ = run(capsys, "triangulations", "--n", "4", "--format", "json")
     data = json.loads(out)
     assert code == 0 and data["count"] == 50
+
+
+def test_triangulations_prints_each_triangulation_once(capsys):
+    """The printed sets are the search's own, with no Triangulation built
+    for them; here each one goes through parse_edge_list and the
+    Triangulation constructor, which checks it pairwise compatible,
+    maximal and of size n, and keeps its order.  None is printed twice,
+    and the count is the type-D cluster count (3n - 2)/n * C(2n - 2, n - 1)."""
+    for n in range(3, 9):
+        code, out, _ = run(capsys, "triangulations", "--n", str(n), "--format", "json",
+                           "--max-enum", "8")
+        assert code == 0
+        data = json.loads(out)
+        printed = data["triangulations"]
+        for names in printed:
+            edges = tuple(parse_edge_list(n, ",".join(names)))
+            assert Triangulation(n, edges).edges == edges, names
+        assert len(set(map(tuple, printed))) == len(printed) == data["count"]
+        assert data["count"] == (3 * n - 2) * math.comb(2 * n - 2, n - 1) // n
 
 
 def test_triangulations_bound(capsys):

@@ -529,6 +529,36 @@ def test_composition_associativity_seeded():
         checked += 1
 
 
+def _combo(a, f, b, f2):
+    """The morphism a*f + b*f2, for f and f2 in one Hom space."""
+    return Morphism(f.source, f.target, tuple(a * x + b * y for x, y in zip(f.coords, f2.coords)))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_compose_is_bilinear(n):
+    """compose(a*f + b*f', g) == a*compose(f, g) + b*compose(f', g), and the
+    same in g, for f, f' (and g, g') the two basis elements of every
+    dimension-2 space, composed with every nonzero space on either side:
+    so each f and g is a combination of two paths, with coefficients
+    other than 0 and 1."""
+    edges = enumerate_tagged_edges(n)
+    bases = {(x, y): morphism_space(x, y).basis() for x in edges for y in edges}
+    two = 0
+    for (x, y), left in bases.items():
+        for z in edges:
+            right = bases[y, z]
+            if not left or not right or len(left) + len(right) < 3:
+                continue
+            two += len(left) == 2
+            f, f2, g, g2 = left[0], left[-1], right[0], right[-1]
+            for a, b in ((1, 1), (1, -1), (2, -3)):
+                assert compose(_combo(a, f, b, f2), g) == _combo(
+                    a, compose(f, g), b, compose(f2, g)), (str(f), str(f2), str(g))
+                assert compose(f, _combo(a, g, b, g2)) == _combo(
+                    a, compose(f, g), b, compose(f, g2)), (str(f), str(g), str(g2))
+    assert two  # the spaces of dimension 2 are there
+
+
 def test_compose_rejects_mismatched_objects():
     f = _identity(TaggedEdge(5, 0, 2))
     g = _identity(TaggedEdge(5, 0, 3))

@@ -187,6 +187,16 @@ def test_dimvec_refuses_a_quiver_without_t_and_a_member_of_t():
     assert str(info.value) == f"{T1} is not a vertex: the vertices are the edges not in T"
 
 
+def test_dimension_vector_names_an_edge_that_is_not_a_label():
+    t = paper_example_triangulation()
+    dv = dimension_vector(TaggedEdge(4, 0, 2), t)
+    assert [dv[e] for e in t.edges] == list(dv.coords)
+    m = next(e for e in enumerate_tagged_edges(4) if e not in t)
+    with pytest.raises(ValueError) as info:
+        dv[m]
+    assert str(info.value) == f"{m} is not a label: the labels are the edges of T"
+
+
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_fan_tilted_matches_classical_knitting(n):
     fan = fan_triangulation(n, 0)

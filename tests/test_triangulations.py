@@ -140,6 +140,23 @@ def test_member_that_is_not_an_edge_rejected():
         assert str(info.value) == f"edges must be an iterable of edges, got {edges}"
 
 
+def test_of_refuses_a_non_iterable_and_a_first_member_that_is_not_an_edge():
+    """Triangulation.of reads the polygon off member 0, so it refuses a
+    non-iterable, or a member 0 that is not an edge, itself, in the
+    constructor's words; the constructor names any later member."""
+    for edges, message in [
+        (5, "edges must be an iterable of edges, got 5"),
+        (["0-2"], "member 0 is not an edge: '0-2'"),
+        ([None, TaggedEdge(5, 0, 2)], "member 0 is not an edge: None"),
+        ([object.__new__(TaggedEdge)], "member 0 is not an edge: a TaggedEdge not in the edge table"),
+        ([TaggedEdge(5, 0, 2), "0-3"], "member 1 is not an edge of the 5-gon: '0-3'"),
+        ([], "empty edge set"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            Triangulation.of(edges)
+        assert str(info.value) == message
+
+
 def test_duplicate_reported_before_crossing_and_foreign_edges():
     e02, e13 = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
     for edges in [(e02, e13, e02), (e13, e02, e13), (TaggedEdge(6, 0, 2), e13, e13)]:
