@@ -72,15 +72,15 @@ def delta_len(n: int, a: Vertex, b: Vertex) -> int:
 
 def _validate(n: int, start: Vertex, end: Vertex, tag: int) -> None:
     """Conditions E1-E4 on the fields of a tagged edge.  Each field must be
-    an int: the first edge built for a key is the one every equal key
-    returns, so a float must not get into the table."""
-    if not all(isinstance(v, int) for v in (n, start, end)):
+    an int and not a bool: the first edge built for a key is the one every
+    equal key returns, so neither 1.0 nor True may get into the table."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, start, end)):
         raise InvalidEdgeError("E1", f"n and vertices must be integers, got {n}, {start}, {end}")
     if n < 3:
         raise InvalidEdgeError("E1", f"polygon size must be >= 3, got n={n}")
     if not (0 <= start < n and 0 <= end < n):
         raise InvalidEdgeError("E1", f"vertices must lie in 0..{n - 1}, got ({start}, {end})")
-    if not isinstance(tag, int) or tag not in (1, -1):
+    if not isinstance(tag, int) or isinstance(tag, bool) or tag not in (1, -1):
         raise InvalidEdgeError("E2", f"tag must be +1 or -1, got {tag}")
     if start != end:
         if tag != 1:

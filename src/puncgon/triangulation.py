@@ -3,10 +3,10 @@ tagged edges, fans, flips, exchange factors, and endomorphism quivers.
 
 Every compatibility decision here (validation, flips, enumeration) reads
 one cached bitmask per edge from :mod:`crossing`: bit i is set iff the
-edge does not cross the i-th edge of the canonical order.  Every maximal
-non-crossing set has exactly n elements; the enumeration below does not
-assume this (it collects maximal sets of any size), so the size law
-stays independently falsifiable.
+edge does not cross the i-th edge of the canonical order.  The laws of
+the paper (|T| = n, a flip pair crosses once, at most three exchange
+factors a side and none exactly in the translate case, End(a) = 1) are
+proven in tests/test_triangulations.py, not re-checked on every call.
 
 Exchange factors are the indecomposable summands of minimal right
 approximations over the rest of the triangulation, and those are the
@@ -27,7 +27,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
-from .geometry import _EDGES, TaggedEdge, edge_sort_key, tau
+from .geometry import _EDGES, TaggedEdge, edge_sort_key
 from .linalg import IntElim, PivotError
 from .mesh import Morphism, compose, morphism_space
 
@@ -43,15 +43,14 @@ class ExchangeError(RuntimeError):
 class Triangulation:
     """A maximal set of pairwise non-crossing tagged edges.
 
-    Always has exactly n elements; the constructor enforces this and
-    rejects an edge listed twice, and the enumeration suite re-derives
-    the size without assuming it.  Every construction validates with one
-    walk over the members' bitset in canonical order, which is also the
-    order the edges are stored in: the first crossing pair in that order
-    is reported, and the set is maximal iff the AND of the member masks
-    is the members' own bits.  The bitset stays on the instance as
-    ``_members``; it is not a field, so ``==``, ``hash`` and ``repr``
-    read only n and the edges.
+    Has exactly n elements (proven in ``test_counts_against_formula``,
+    not counted here); an edge listed twice is rejected.  Every
+    construction validates with one walk over the members' bitset in
+    canonical order, which is also the order the edges are stored in:
+    the first crossing pair in that order is reported, and the set is
+    maximal iff the AND of the member masks is the members' own bits.
+    The bitset stays on the instance as ``_members``; it is not a field,
+    so ``==``, ``hash`` and ``repr`` read only n and the edges.
     """
 
     n: int
@@ -89,10 +88,6 @@ class Triangulation:
         if missing:
             e = _lowest_edge(n, missing)
             raise ValueError(f"set is not maximal: {e} is compatible with every member")
-        if len(edges) != n:
-            raise ValueError(
-                f"maximal non-crossing set of unexpected size {len(edges)} != {n}"
-            )
         object.__setattr__(self, "edges", tuple(edges))
         object.__setattr__(self, "_members", members)
 
@@ -120,6 +115,8 @@ class Triangulation:
         return ",".join(str(e) for e in self.edges)
 
     def replace(self, old: TaggedEdge, new: TaggedEdge) -> "Triangulation":
+        if old not in self:
+            raise ValueError(f"edge {old} is not in the triangulation")
         return Triangulation(self.n, tuple(e for e in self.edges if e != old) + (new,))
 
 
@@ -268,9 +265,9 @@ def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     bit left after AND-ing the masks of the n - 1 remaining members and
     clearing the members' bits.
 
-    The replacement always exists, is unique, and crosses m exactly once;
-    anything else aborts loudly, since it would falsify the exchange
-    property the engine is built on.
+    The replacement exists and is unique, or the exchange property the
+    engine is built on fails and flip aborts loudly; it crosses m once
+    (proven by ``test_exchange_invariants_everywhere``).
     """
     if m not in t:
         raise ValueError(f"edge {m} is not in the triangulation")
@@ -349,35 +346,19 @@ def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
     of m over t minus m, and the coside factors those of its flip partner
     m': the arrows into m in the quiver of t, and the arrows into m' in
     the quiver of the flipped triangulation, counted with multiplicity.
-    The result is checked for the combinatorics of the exchange
-    quadrilateral (e = 1, at most three factors per side, an empty side
-    exactly in the translate case); a failure raises
-    :class:`ExchangeError`.  The factors are drawn from t minus m, which
-    lies in both triangulations, so they cross neither diagonal.
+    ``test_exchange_invariants_everywhere`` (every flip, n = 3..6) and
+    ``test_flips_mutate_quiver_and_exchange_factors`` (walks, n = 4..16)
+    prove the quadrilateral's laws: e = 1, at most three factors per
+    side, an empty side exactly in the translate case.  The factors are
+    drawn from t minus m, which lies in both triangulations, so they
+    cross neither diagonal.
     """
     after, inserted = flip(t, m)
-    if crossing_number(m, inserted) != 1:
-        raise ExchangeError(f"flip pair {m}, {inserted} has e != 1")
     context = [e for e in t.edges if e != m]
     # context is in edge_sort_key order, as every Triangulation's edges are
     sides = tuple(c for c in context for _ in range(_arrows(c, m, t.edges)[0]))
     cosides = tuple(c for c in context for _ in range(_arrows(c, inserted, after.edges)[0]))
-    data = ExchangeData(m, inserted, sides, cosides, after)
-    for factors, tgt, other in (
-        (data.side_factors, m, inserted),
-        (data.coside_factors, inserted, m),
-    ):
-        if len(factors) > 3:
-            raise ExchangeError(
-                f"exchange factor multiset {factors} has more than 3 members"
-            )
-        # empty side = all-boundary quadrilateral side, exactly the tau case
-        if bool(factors) == (tgt == tau(other)):
-            raise ExchangeError(
-                f"factor multiset for {tgt} is {'empty' if not factors else 'nonempty'} "
-                f"but {tgt} {'is' if tgt == tau(other) else 'is not'} the translate of {other}"
-            )
-    return data
+    return ExchangeData(m, inserted, sides, cosides, after)
 
 
 @dataclass(frozen=True)
@@ -396,13 +377,12 @@ def quiver_with_representatives(
 ) -> tuple[QuiverPresentation, dict[tuple[int, int], list[Morphism]]]:
     """The Gabriel quiver together with chosen irreducible representatives:
     arrow count i -> j is dim Hom(T_i, T_j) minus the span of compositions
-    through the other members."""
+    through the other members.  The quiver has no loops, since every
+    End(T_i) is one-dimensional (``test_end_is_one_dimensional``)."""
     verts = list(t.edges)
     arrows: list[tuple[int, int, int]] = []
     reps: dict[tuple[int, int], list[Morphism]] = {}
     for i, a in enumerate(verts):
-        if morphism_space(a, a).total_dim != 1:
-            raise ExchangeError(f"End({a}) is not one-dimensional")
         for j, b in enumerate(verts):
             if i == j:
                 continue

@@ -122,6 +122,30 @@ def test_invalid_edge_leaves_no_table_entry():
     assert TaggedEdge(41.0, 0, 2) is TaggedEdge(41, 0, 2)
 
 
+def test_a_bool_field_does_not_enter_the_edge_table():
+    """True == 1 with the same hash, so on a miss of the edge table a bool
+    field would intern an edge that prints ``True-3`` and that every later
+    equal int key returns.  It is refused: E1 for n, start or end, E2 for
+    the tag."""
+    cases = [
+        ((43, True, 3), "E1"),
+        ((43, 3, True), "E1"),
+        ((True, 0, 0), "E1"),
+        ((43, 2, 2, True), "E2"),
+        ((43, 1, 3, True), "E2"),
+    ]
+    keys = [fields + (1,) * (4 - len(fields)) for fields, _ in cases]
+    assert not any(key in geometry._EDGES for key in keys)
+    for (fields, code), key in zip(cases, keys):
+        with pytest.raises(InvalidEdgeError) as info:
+            TaggedEdge(*fields)
+        assert info.value.code == code, fields
+        assert key not in geometry._EDGES
+    e = TaggedEdge(43, 1, 3)
+    assert type(e.start) is int and str(e) == "1-3"
+    assert type(TaggedEdge(43, 2, 2).tag) is int and str(TaggedEdge(43, 2, 2)) == "2|+"
+
+
 def test_equality_and_hash_are_identity():
     # a dataclass __eq__ or __hash__ coming back would hash four fields
     # at every set or dict lookup

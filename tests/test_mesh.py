@@ -606,6 +606,23 @@ def test_compose_refuses_a_term_beyond_its_output_block(monkeypatch):
     assert str(info.value) == f"composite ends at {cell}, not at the cell {moved} of its space"
 
 
+def test_compose_refuses_a_path_of_g_translated_off_fs_end(monkeypatch):
+    """The translated-start check: with the cell of Hom(0-2, 0-3) moved one
+    level up, the basis path of g, translated by that cell's column, starts
+    one level below where f's paths are taken to end, which is refused.
+    (Moving the column instead would move the translated start with it.)"""
+    a, b, c = (TaggedEdge(5, 0, end) for end in (2, 3, 4))
+    space_f = morphism_space(a, b)
+    (f,), (g,) = space_f.basis(), morphism_space(b, c).basis()
+    assert compose(f, g) == morphism_space(a, c).basis()[0]
+    cell = space_f.cell
+    moved = (cell[0], cell[1] + 1)
+    monkeypatch.setattr(space_f, "cell", moved)
+    with pytest.raises(MeshClosureError) as info:
+        compose(f, g)
+    assert str(info.value) == f"translated path of g starts at {cell}, not at f's end {moved}"
+
+
 def test_compose_coefficients_are_ints():
     edges = enumerate_tagged_edges(5)
     seen = set()

@@ -320,6 +320,16 @@ def test_flip_requires_membership():
         flip(t, TaggedEdge(5, 1, 3))
 
 
+def test_replace_refuses_an_edge_that_is_not_a_member():
+    """``replace`` names the missing edge in ``flip``'s wording, not a
+    crossing pair of the set it would build."""
+    t, old, new = fan_triangulation(5), TaggedEdge(5, 1, 3), TaggedEdge(5, 1, 4)
+    for call in (lambda: t.replace(old, new), lambda: flip(t, old)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "edge 1-3 is not in the triangulation"
+
+
 @pytest.mark.parametrize("extra, count", [(False, 0), (True, 2)])
 def test_flip_refuses_other_than_one_completion(monkeypatch, extra, count):
     """With the masks' AND forced to leave no free edge, or two, flip
@@ -488,24 +498,32 @@ def test_approximation_oracle_rejects_corrupted_factors():
     assert not admits_surjections(context, m, dict(Counter(dropped.side_factors)), rng)
 
 
-@pytest.mark.parametrize("n", [3, 4])
+def assert_exchange_laws(t, data):
+    """The paper's laws of the exchange quadrilateral, which
+    ``exchange_sides`` does not re-check: the flip pair crosses once, and
+    each side has at most three factors, drawn from t minus the removed
+    edge and crossing neither diagonal."""
+    assert crossing_number(data.removed, data.inserted) == 1
+    for factors, tgt, other in (
+        (data.side_factors, data.removed, data.inserted),
+        (data.coside_factors, data.inserted, data.removed),
+    ):
+        assert len(factors) <= 3
+        # a side is empty exactly when its target is the translate
+        # of the other diagonal (all-boundary quadrilateral side)
+        assert bool(factors) == (tgt != tau(other))
+        for f in factors:
+            assert f in t.edges and f != data.removed
+            assert crossing_number(f, data.removed) == 0
+            assert crossing_number(f, data.inserted) == 0
+
+
+@pytest.mark.parametrize("n", range(3, 7))
 def test_exchange_invariants_everywhere(n):
+    """Every flip of every triangulation: 4,032 flips at n = 6."""
     for t in enumerate_triangulations(n):
         for m in t.edges:
-            data = exchange_sides(t, m)
-            assert crossing_number(data.removed, data.inserted) == 1
-            for factors, tgt, other in (
-                (data.side_factors, m, data.inserted),
-                (data.coside_factors, data.inserted, m),
-            ):
-                assert len(factors) <= 3
-                # a side is empty exactly when its target is the translate
-                # of the other diagonal (all-boundary quadrilateral side)
-                assert bool(factors) == (tgt != tau(other))
-                for f in factors:
-                    assert f in t.edges and f != m
-                    assert crossing_number(f, data.removed) == 0
-                    assert crossing_number(f, data.inserted) == 0
+            assert_exchange_laws(t, exchange_sides(t, m))
 
 
 def test_exchange_boundary_side_relation_renders_as_one():
@@ -533,10 +551,19 @@ def test_fan_quiver_is_linear_orientation():
         assert sorted(named) == sorted(expected)
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_end_is_one_dimensional(n):
+    """Every tagged edge has a one-dimensional endomorphism space, so no
+    Gabriel quiver of a triangulation has a loop."""
+    for e in enumerate_tagged_edges(n):
+        assert morphism_space(e, e).total_dim == 1, str(e)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_quiver_has_no_loops_or_two_cycles_with_radii(n):
-    # no loops: one-dimensional endomorphism spaces, checked inside the
-    # quiver builder; here just confirm no (i, i) arrows survive
+    # no loops: one-dimensional endomorphism spaces, proven for every
+    # edge by test_end_is_one_dimensional; here just confirm no (i, i)
+    # arrows survive
     for t in enumerate_triangulations(n)[:10]:
         q = quiver_of_triangulation(t)
         assert all(a != b for a, b, _ in q.arrows)
@@ -545,14 +572,19 @@ def test_quiver_has_no_loops_or_two_cycles_with_radii(n):
 @pytest.mark.parametrize("n", range(4, 17))
 def test_flips_mutate_quiver_and_exchange_factors(n):
     """Seeded flip walks: each flip mutates the Gabriel quiver at the
-    flipped vertex, and its exchange factors are that vertex's in- and
-    out-neighbours."""
+    flipped vertex, its exchange factors are that vertex's in- and
+    out-neighbours and keep the exchange laws, and every triangulation
+    visited has n members."""
     rng = random.Random(f"mutation:{n}")
     t = fan_triangulation(n, rng.randrange(n))
     for _ in range(10):
+        assert len(t.edges) == n
         m = rng.choice(t.edges)
         assert mutation_mismatches(t, m) == [], (str(t), str(m))
-        t = flip(t, m)[0]
+        data = exchange_sides(t, m)
+        assert_exchange_laws(t, data)
+        t = data.after
+    assert len(t.edges) == n
 
 
 def test_mutation_oracle_rejects_swapped_sides(monkeypatch):
