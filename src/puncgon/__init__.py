@@ -31,6 +31,7 @@ from .triangulation import (
     ExchangeData,
     ExchangeError,
     QuiverPresentation,
+    SymmetryError,
     Triangulation,
     enumerate_triangulations,
     exchange_sides,

@@ -148,19 +148,21 @@ class TaggedEdge:
 
     @classmethod
     def parse(cls, n: int, text: str) -> "TaggedEdge":
-        """Parse the serialized form "a-b", "a|+" or "a|-"."""
+        """Parse the serialized form "a-b", "a|+" or "a|-".  A vertex is
+        ASCII decimal digits, with whitespace allowed around it; signs,
+        underscores and other digits are refused, not read as ``int``
+        would read them."""
         s = text.strip()
-        try:
-            if "|" in s:
-                v, t = s.split("|", 1)
-                tag = {"+": 1, "-": -1}[t.strip()]
-                return cls(n, int(v), int(v), tag)
-            a, b = s.rsplit("-", 1)
-            return cls(n, int(a), int(b), 1)
-        except (KeyError, ValueError) as exc:
-            if isinstance(exc, InvalidEdgeError):
-                raise
-            raise InvalidEdgeError("E1", f"cannot parse edge {text!r}") from exc
+        if "|" in s:
+            a, t = s.split("|", 1)
+            b, tag = a, {"+": 1, "-": -1}.get(t.strip())
+        else:
+            a, _, b = s.rpartition("-")
+            tag = 1
+        a, b = a.strip(), b.strip()
+        if not (tag and a.isascii() and a.isdigit() and b.isascii() and b.isdigit()):
+            raise InvalidEdgeError("E1", f"cannot parse edge {text!r}")
+        return cls(n, int(a), int(b), tag)
 
     def __str__(self) -> str:
         return self._name

@@ -133,7 +133,7 @@ def suite_lemma3(n: int, max_n: int = DEFAULT_LEMMA3_BOUND) -> SuiteResult:
     """Every maximal non-crossing set has exactly n elements (n <= max_n)."""
     _require_bound(n, max_n)
     sets = maximal_noncrossing_sets(n)
-    sizes = sorted({len(s) for s in sets})
+    sizes = sorted({s.bit_count() for s in sets})
     ok = sizes == [n]
     details = {"count": len(sets), "sizes": sizes}
     return SuiteResult(

@@ -68,7 +68,7 @@ def test_criterion_2_mesh_agrees_with_closed_form():
 
 def test_criterion_3_maximal_sets_have_size_n():
     for n in range(3, 7):
-        sizes = {len(s) for s in maximal_noncrossing_sets(n)}
+        sizes = {s.bit_count() for s in maximal_noncrossing_sets(n)}
         assert sizes == {n}
     count4 = len(maximal_noncrossing_sets(4))
     assert count4 == 50

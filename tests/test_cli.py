@@ -453,6 +453,19 @@ def test_size_refusals_print_one_error_line(argv, message):
     assert run_process(*argv) == (2, "", message)
 
 
+@pytest.mark.parametrize("source, target, bad", [
+    ("1_0-2", "1-3", "1_0-2"),
+    ("0-2", "+1-3", "+1-3"),
+    ("0-2", "\u0661-3", "\u0661-3"),
+])
+def test_edge_with_a_non_ascii_digit_vertex_is_refused(source, target, bad):
+    """A vertex that int() would read but the edge syntax does not allow
+    is an input error: one line on stderr, exit 2, nothing on stdout."""
+    code, out, err = run_process("ext", "--n", "12", "--source", source, "--target", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot parse edge {bad!r} (violates edge condition E1)\n"
+
+
 @pytest.mark.parametrize("argv, message", [
     (("hom", "--n", "5", "--source", "0-2", "--target", "0-3", "--format", "json", "--basis"),
      "error: --basis and --grid print text; drop them or use --format text\n"),

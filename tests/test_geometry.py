@@ -164,6 +164,24 @@ def test_parse_roundtrip():
         TaggedEdge.parse(5, "0-1")
 
 
+@pytest.mark.parametrize("text", [
+    "1_0-2", "+1-3", "1-+3", "-1-3", "0-\u0663", "\uff11-3", "\u00b2-4", "1_0|+", "+1|-",
+    "0x1-3", "1 0-3", "-", "|+", "1|", "1|+1", "",
+])
+def test_parse_reads_ascii_digits_only(text):
+    # int() would read 1_0 as 10, +1 as 1 and other scripts' digits as
+    # their values; each of these is refused as unparseable (E1)
+    with pytest.raises(InvalidEdgeError) as info:
+        TaggedEdge.parse(12, text)
+    assert info.value.code == "E1"
+    assert str(info.value) == f"cannot parse edge {text!r} (violates edge condition E1)"
+
+
+def test_parse_allows_whitespace_around_each_part():
+    assert TaggedEdge.parse(12, " 10 - 2 ") is TaggedEdge(12, 10, 2)
+    assert TaggedEdge.parse(12, "\t3 | - ") is TaggedEdge.central(12, 3, -1)
+
+
 def test_moves_span3():
     m = TaggedEdge(8, 0, 2)
     assert elementary_moves(m) == [TaggedEdge(8, 0, 3)]

@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from puncgon.crossing import crossing_number
+from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
 from puncgon import suites, triangulation
 from puncgon.linalg import FractionElim, IntElim
@@ -15,8 +15,10 @@ from puncgon.suites import suite_lemma3
 from puncgon.mesh import compose, morphism_space
 from puncgon.triangulation import (
     ExchangeError,
+    SymmetryError,
     Triangulation,
     _arrows,
+    _indices,
     enumerate_triangulations,
     exchange_sides,
     fan_triangulation,
@@ -169,10 +171,12 @@ def test_duplicate_reported_before_crossing_and_foreign_edges():
 def test_counts_against_formula(n):
     sets = maximal_noncrossing_sets(n)
     assert len(sets) == type_d_cluster_count(n)
-    assert all(len(s) == n for s in sets)
+    assert all(s.bit_count() == n for s in sets)
     tris = enumerate_triangulations(n, max_n=9)
     edges = enumerate_tagged_edges(n)
-    assert [t.edges for t in tris] == [tuple(edges[i] for i in s) for s in sets]
+    assert [t.edges for t in tris] == [tuple(edges[i] for i in s)
+                                       for s in sorted(map(_indices, sets))]
+    assert sorted(t._members for t in tris) == sets
     if n == 9:
         return  # a second run of the 35,750 triangulations would add about 1 s
     # deterministic order
@@ -182,8 +186,86 @@ def test_counts_against_formula(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_pivoted_search_keeps_lowest_first_order(n):
-    # the same sets, in the same order, as the unpivoted lowest-first search
-    assert maximal_noncrossing_sets(n) == lowest_first_maximal_sets(n)
+    # decoded and sorted as index tuples, the same sets in the same order
+    # as the unpivoted lowest-first search
+    sets = maximal_noncrossing_sets(n)
+    assert sets == sorted(sets)
+    assert sorted(map(_indices, sets)) == lowest_first_maximal_sets(n)
+
+
+def _whole_graph(n):
+    """Neighbour masks of the compatibility graph over the canonical edges."""
+    edges = enumerate_tagged_edges(n)
+    return [_compat_mask(e) & ~(1 << i) for i, e in enumerate(edges)]
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_symmetry_search_matches_the_whole_graph_search(n):
+    # the sets through 0|+ turned and tag-swapped give exactly the sets
+    # the generic search finds on the whole compatibility graph
+    assert maximal_noncrossing_sets(n) == sorted(triangulation._maximal_cliques(_whole_graph(n)))
+
+
+def _patch_masks(monkeypatch, change):
+    """Make ``triangulation._compat_mask(e)`` return ``change(e, mask)``."""
+    real = triangulation._compat_mask
+    monkeypatch.setattr(triangulation, "_compat_mask", lambda e: change(e, real(e)))
+
+
+def _drop_pairs(pairs):
+    """A mask change that makes each pair of edges cross, on both sides."""
+    def change(e, mask):
+        bits = _canonical_bits(e.n)[1]
+        for a, b in pairs:
+            if e is a:
+                mask &= ~bits[b]
+            elif e is b:
+                mask &= ~bits[a]
+        return mask
+    return change
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_enumeration_refuses_a_graph_that_turning_does_not_keep(n, monkeypatch):
+    # two plain edges at vertex 0 made to cross, their turned copies not:
+    # swapping tags fixes both, so only turning fails
+    a, b = TaggedEdge(n, 0, 2), TaggedEdge(n, 0, 3)
+    assert crossing_number(a, b) == 0
+    _patch_masks(monkeypatch, _drop_pairs([(a, b)]))
+    with pytest.raises(SymmetryError, match="^turning the polygon maps the compatibility mask of"):
+        maximal_noncrossing_sets(n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 7])
+def test_enumeration_refuses_a_graph_that_swapping_tags_does_not_keep(n, monkeypatch):
+    # every a-(a+2) made to cross a|+ but not a|-: turning keeps that, swapping the tags not
+    pairs = [(TaggedEdge(n, a, (a + 2) % n), TaggedEdge.central(n, a, 1)) for a in range(n)]
+    assert all(crossing_number(x, y) == 0 for x, y in pairs)
+    _patch_masks(monkeypatch, _drop_pairs(pairs))
+    with pytest.raises(SymmetryError,
+                       match="^swapping the radius tags maps the compatibility mask of"):
+        maximal_noncrossing_sets(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_enumeration_refuses_a_maximal_set_without_a_radius(n, monkeypatch):
+    # every radius made to cross every plain edge: both symmetries still
+    # hold, and the plain triangulations become maximal with no radius
+    plain = n * (n - 2)
+    low = (1 << plain) - 1
+
+    def change(e, mask):
+        return mask & ~low if e.is_central else mask & low
+
+    _patch_masks(monkeypatch, change)
+    with pytest.raises(SymmetryError, match=r"^the set \S+ has no radius and is maximal$"):
+        maximal_noncrossing_sets(n)
+
+
+def test_lemma3_passes_at_its_default_bound():
+    result = suite_lemma3(10)
+    assert result.passed
+    assert result.details == {"count": 136_136, "sizes": [10]}
 
 
 def _neighbour_masks(vertices, edges):
@@ -212,7 +294,8 @@ def test_maximal_cliques_match_brute_force_on_any_graph():
     # blocks, so the parent's blocking checks are only tested here
     for name, vertices, edges in _clique_cases():
         got = triangulation._maximal_cliques(_neighbour_masks(vertices, edges))
-        assert got == brute_force_maximal_cliques(vertices, edges), name
+        assert got == sorted(got), name
+        assert sorted(map(_indices, got)) == brute_force_maximal_cliques(vertices, edges), name
 
 
 def test_maximal_cliques_blocked_compatible_pair():
@@ -221,34 +304,47 @@ def test_maximal_cliques_blocked_compatible_pair():
     # adjacent to both: {2, 3, 6} is not maximal, since 0 extends it.
     edges = [(0, 2), (0, 3), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 6), (3, 6)]
     got = triangulation._maximal_cliques(_neighbour_masks(7, edges))
-    assert got == brute_force_maximal_cliques(7, edges)
-    assert (2, 3, 6) not in got and (0, 2, 3, 6) in got
+    assert got == sorted(got)
+    decoded = sorted(map(_indices, got))
+    assert decoded == brute_force_maximal_cliques(7, edges)
+    assert (2, 3, 6) not in decoded and (0, 2, 3, 6) in decoded
 
 
 @pytest.mark.parametrize("n", range(3, 8))
 def test_every_search_call_has_three_candidates(n):
     # the parent settles every child with at most two candidates, so past
-    # the root no call of the search sees fewer than three
-    sizes = []
+    # its root no call of either search (the radius-free check, then the
+    # sets through 0|+) sees fewer than three
+    roots, sizes = [], []
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code.co_name == "extend":
-            sizes.append(frame.f_locals["candidates"].bit_count())
+            size = frame.f_locals["candidates"].bit_count()
+            (sizes if frame.f_back.f_code.co_name == "extend" else roots).append(size)
 
     sys.setprofile(profile)
     try:
         maximal_noncrossing_sets(n)
     finally:
         sys.setprofile(None)
-    assert sizes[0] == n * n and min(sizes[1:], default=3) >= 3
+    through = _compat_mask(TaggedEdge.central(n, 0, 1)).bit_count() - 1
+    assert roots == [n * (n - 2), through]
+    assert min(sizes, default=3) >= 3
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_maximal_sets_are_increasing_index_tuples(n):
-    for s in maximal_noncrossing_sets(n):
-        assert type(s) is tuple
-        assert all(type(i) is int and 0 <= i < n * n for i in s)
-        assert all(a < b for a, b in zip(s, s[1:]))
+    # bitsets over the n * n canonical bits, ascending, each decoding to a
+    # strictly increasing index tuple that names its bits
+    sets = maximal_noncrossing_sets(n)
+    assert all(a < b for a, b in zip(sets, sets[1:]))
+    for s in sets:
+        assert type(s) is int and 0 < s < 1 << n * n
+        t = _indices(s)
+        assert type(t) is tuple
+        assert all(type(i) is int and 0 <= i < n * n for i in t)
+        assert all(a < b for a, b in zip(t, t[1:]))
+        assert sum(1 << i for i in t) == s
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -256,7 +352,7 @@ def test_lemma3_fails_on_a_set_of_the_wrong_size(n, monkeypatch):
     # the suite re-derives the sizes, so one short set must fail it
     real = suites.maximal_noncrossing_sets
     monkeypatch.setattr(suites, "maximal_noncrossing_sets",
-                        lambda k: real(k) + [tuple(range(k - 1))])
+                        lambda k: real(k) + [(1 << k - 1) - 1])
     result = suite_lemma3(n)
     assert not result.passed
     assert result.details == {"count": type_d_cluster_count(n) + 1, "sizes": [n - 1, n]}
@@ -299,7 +395,7 @@ def test_enumeration_bound():
 
 def test_sizes_from_unconstrained_search():
     for n in (3, 4, 5):
-        sizes = {len(s) for s in maximal_noncrossing_sets(n)}
+        sizes = {s.bit_count() for s in maximal_noncrossing_sets(n)}
         assert sizes == {n}
 
 
@@ -328,6 +424,25 @@ def test_replace_refuses_an_edge_that_is_not_a_member():
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == "edge 1-3 is not in the triangulation"
+
+
+@pytest.mark.parametrize("old, message", [
+    (TaggedEdge(6, 0, 2), "edge 0-2 belongs to n=6, not n=5"),
+    ([1], "not an edge of the 5-gon: [1]"),
+    ("0-2", "not an edge of the 5-gon: '0-2'"),
+    (None, "not an edge of the 5-gon: None"),
+    (object.__new__(TaggedEdge), "not an edge of the 5-gon: a TaggedEdge not in the edge table"),
+])
+def test_flip_and_replace_name_a_foreign_or_non_edge(old, message):
+    """An edge of another polygon is named as such, not as missing from
+    the triangulation, and an unhashable gets the same ValueError as any
+    other non-edge, not a TypeError."""
+    t = fan_triangulation(5)
+    for call in (lambda: t.replace(old, TaggedEdge(5, 1, 3)), lambda: flip(t, old)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert old not in t
 
 
 @pytest.mark.parametrize("extra, count", [(False, 0), (True, 2)])
