@@ -12,7 +12,6 @@ import functools
 import itertools
 import json
 import os
-import random
 import sys
 
 from . import render
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("flipwalk", help="apply a sequence of flips")
     common(sp)
     sp.add_argument("--T", required=True, help="starting triangulation, comma-separated edges")
-    sp.add_argument("--script", default="", help="comma-separated edges to flip, in order")
+    sp.add_argument("--script", default=None, help="comma-separated edges to flip, in order")
     sp.add_argument("--random", type=int, default=0, metavar="K", help="append K random flips")
     sp.add_argument("--seed", type=int, default=0)
 
@@ -212,8 +211,10 @@ def cmd_triangulations(args) -> int:
 
 
 def cmd_flipwalk(args) -> int:
+    import random  # only this command draws random flips
+
     t = _parse_triangulation(args.n, args.T)
-    script = parse_edge_list(args.n, args.script) if args.script else []
+    script = [] if args.script is None else parse_edge_list(args.n, args.script)
     if args.random < 0:
         raise ValueError(f"--random must be at least 0, got {args.random}")
     rng = random.Random(args.seed)

@@ -3,12 +3,12 @@ comparison over all pairs, and almost-split (AR) triangles."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from .crossing import crossing_table
 from .geometry import TaggedEdge, edge_sort_key, elementary_moves, enumerate_tagged_edges, tau
 from .mesh import RowTargets, hom_row_closed_form, hom_row_cluster
+from .record import Record
 
 
 def _hom_engine(method: str) -> Callable[[TaggedEdge, RowTargets], list[int]]:
@@ -31,13 +31,11 @@ def ext1_dim(m: TaggedEdge, other: TaggedEdge, method: str = "closed") -> int:
     return _hom_engine(method)(m, RowTargets(m.n, (tau(other),)))[0]
 
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """Outcome of comparing ext1_dim against the crossing number."""
+class TheoremReport(Record):
+    """Outcome of comparing ext1_dim against the crossing number; each
+    failure is (M, N, ext1, crossing)."""
 
-    n: int
-    pairs_checked: int
-    failures: tuple[tuple[str, str, int, int], ...]  # (M, N, ext1, crossing)
+    __slots__ = _fields = ("n", "pairs_checked", "failures")
 
     @property
     def passed(self) -> bool:
@@ -64,13 +62,10 @@ def verify_theorem2(n: int, method: str = "closed") -> TheoremReport:
     return TheoremReport(n, checked, tuple(failures))
 
 
-@dataclass(frozen=True)
-class ArTriangle:
+class ArTriangle(Record):
     """Almost-split triangle tau M -> L -> M, with L given by its summands."""
 
-    left: TaggedEdge
-    middle: tuple[TaggedEdge, ...]
-    right: TaggedEdge
+    __slots__ = _fields = ("left", "middle", "right")
 
 
 def ar_triangle(m: TaggedEdge) -> ArTriangle:

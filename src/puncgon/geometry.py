@@ -31,8 +31,9 @@ for central edges; positions print as ``"(i,j)"``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple
+from collections import namedtuple
+
+from .record import Frozen
 
 Vertex = int
 
@@ -97,22 +98,17 @@ def _validate(n: int, start: Vertex, end: Vertex, tag: int) -> None:
 _EDGES: dict[tuple[int, int, int, int], "TaggedEdge"] = {}
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TaggedEdge:
+class TaggedEdge(Frozen):
     """One of the n**2 tagged edges of the punctured n-gon.
 
     Interned: ``TaggedEdge(n, start, end, tag)`` returns the one instance
     for those fields, validated when it is first built, so ``==`` and
     ``hash`` are object identity.  ``__new__`` sets the fields, on a miss
-    only, together with the serialized name that ``str`` returns; hence
-    ``init=False``, since a dataclass ``__init__`` would set them again on
-    every construction.
+    only, together with the serialized name that ``str`` returns; they
+    are frozen slots.
     """
 
-    n: int
-    start: Vertex
-    end: Vertex
-    tag: int = 1
+    __slots__ = ("n", "start", "end", "tag", "_name")
 
     def __new__(cls, n: int, start: Vertex, end: Vertex, tag: int = 1) -> "TaggedEdge":
         key = (n, start, end, tag)
@@ -247,11 +243,10 @@ def tau_power(m: TaggedEdge, k: int) -> TaggedEdge:
     return TaggedEdge(n, (m.start - k) % n, (m.end - k) % n, 1)
 
 
-class Position(NamedTuple):
+class Position(namedtuple("Position", ("column", "level"))):
     """Grid coordinates of a tagged edge: column in {1..n}, level in {1..n}."""
 
-    column: int
-    level: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"({self.column},{self.level})"

@@ -6,8 +6,6 @@ is tested against, also used by the test suite's approximation oracle."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 
 class PivotError(ArithmeticError):
     """An integer elimination met ``pivot``, which is not -1 or 1."""
@@ -77,6 +75,8 @@ class FractionElim:
         return len(self.pivots)
 
     def reduce(self, vec) -> list[Fraction]:
+        from fractions import Fraction  # loaded only where the reference runs
+
         v = [Fraction(x) for x in vec]
         for p, row in self.pivots:
             c = v[p]
@@ -89,7 +89,7 @@ class FractionElim:
         v = self.reduce(vec)
         for p in range(self.width):
             if v[p]:
-                inv = Fraction(1) / v[p]
+                inv = 1 / v[p]
                 row = [x * inv for x in v]
                 for q, other in self.pivots:
                     c = other[p]

@@ -52,7 +52,6 @@ through, each named by :func:`puncgon.geometry.edge_at`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .geometry import (
@@ -64,6 +63,7 @@ from .geometry import (
     grid_level,
 )
 from .linalg import IntElim, PivotError
+from .record import Record
 
 ZqVertex = tuple[int, int]  # (column, level)
 
@@ -406,14 +406,16 @@ def morphism_space(source: TaggedEdge, target: TaggedEdge) -> MorphismSpace:
     return sp
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Element of a graded Hom space: its int coordinates over the stored
     basis of ``morphism_space(source, target)``, in ``paths`` order."""
 
-    source: TaggedEdge
-    target: TaggedEdge
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("source", "target", "coords")
+
+    def __init__(self, source: TaggedEdge, target: TaggedEdge, coords: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "coords", coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)

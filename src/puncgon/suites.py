@@ -7,8 +7,6 @@ when every requested suite passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .clusterops import ar_triangle, verify_theorem2
 from .geometry import (
     TaggedEdge,
@@ -19,6 +17,7 @@ from .geometry import (
     tau_power,
 )
 from .mesh import RowTargets, hom_row_closed_form, hom_row_cluster
+from .record import Record
 from .triangulation import DEFAULT_LEMMA3_BOUND, _require_bound, maximal_noncrossing_sets
 
 # The suites that check all n**4 ordered pairs, and the largest n they run
@@ -40,13 +39,16 @@ N6_GRID_FROM_POSITION_1_3 = {
 }
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    n: int
-    passed: bool
-    summary: str
-    details: dict = field(default_factory=dict)
+class SuiteResult(Record):
+    """Outcome of one suite: the one mutable record, so it has no hash."""
+
+    __slots__ = _fields = ("name", "n", "passed", "summary", "details")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, name: str, n: int, passed: bool, summary: str, details=None):
+        super().__init__(name, n, passed, summary, {} if details is None else details)
 
     def to_json(self) -> dict:
         return {

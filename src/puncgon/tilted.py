@@ -11,8 +11,6 @@ and is display sugar only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 from .crossing import crossing_row
 from .geometry import (
     TaggedEdge,
@@ -22,6 +20,7 @@ from .geometry import (
     tau,
 )
 from .mesh import compose
+from .record import Record
 from .triangulation import (
     QuiverPresentation,
     Triangulation,
@@ -29,12 +28,10 @@ from .triangulation import (
 )
 
 
-@dataclass(frozen=True)
-class DimensionVector:
+class DimensionVector(Record):
     """Integer vector indexed by the edges of a triangulation."""
 
-    labels: tuple[TaggedEdge, ...]
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("labels", "coords")
 
     def __getitem__(self, edge: TaggedEdge) -> int:
         if edge not in self.labels:
@@ -60,19 +57,13 @@ def dimension_vector(m: TaggedEdge, t: Triangulation) -> DimensionVector:
     return DimensionVector(t.edges, tuple(crossing_row(m, t.edges)))
 
 
-@dataclass(frozen=True)
-class ArQuiver:
+class ArQuiver(Record):
     """AR quiver of the category: all n**2 tagged edges, arrows the
     elementary moves, translation tau.  With a ``triangulation`` T, that
     of mod End(T)^op: T deleted and each survivor labeled by its
     dimension vector in ``dimvecs``.  Both are None for the category."""
 
-    n: int
-    triangulation: Triangulation | None
-    vertices: tuple[TaggedEdge, ...]
-    dimvecs: tuple[DimensionVector, ...] | None
-    arrows: tuple[tuple[TaggedEdge, TaggedEdge], ...]
-    tau_pairs: tuple[tuple[TaggedEdge, TaggedEdge], ...]
+    __slots__ = _fields = ("n", "triangulation", "vertices", "dimvecs", "arrows", "tau_pairs")
 
     def require_dimvecs(self) -> tuple[DimensionVector, ...]:
         """``dimvecs``, or a ValueError for the quiver of the category."""
@@ -87,7 +78,9 @@ class ArQuiver:
         return dimvecs[self.vertices.index(m)]
 
     def transposed(self) -> "ArQuiver":
-        return replace(self, arrows=tuple((b, a) for a, b in self.arrows))
+        arrows = tuple((b, a) for a, b in self.arrows)
+        return ArQuiver(self.n, self.triangulation, self.vertices, self.dimvecs, arrows,
+                        self.tau_pairs)
 
 
 def ar_quiver_of_category(n: int) -> ArQuiver:
@@ -117,10 +110,15 @@ def ar_quiver_of_tilted(t: Triangulation) -> ArQuiver:
     return ArQuiver(t.n, t, vertices, dimvecs, arrows, tau_pairs)
 
 
-@dataclass(frozen=True)
-class VanishingEntry:
-    arrows: tuple[tuple[int, int, int], ...]  # (source, target, instance)
-    is_zero: bool
+class VanishingEntry(Record):
+    """An arrow path, as (source, target, instance) triples, and whether
+    its composite is zero."""
+
+    __slots__ = _fields = ("arrows", "is_zero")
+
+    def __init__(self, arrows: tuple[tuple[int, int, int], ...], is_zero: bool):
+        object.__setattr__(self, "arrows", arrows)
+        object.__setattr__(self, "is_zero", is_zero)
 
     def path_string(self, names) -> str:
         """The path as vertex names; ``names[i]`` is the string of quiver
@@ -128,11 +126,10 @@ class VanishingEntry:
         return " -> ".join([names[self.arrows[0][0]]] + [names[a[1]] for a in self.arrows])
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    quiver: QuiverPresentation
-    maxlen: int
-    entries: tuple[VanishingEntry, ...]
+class VanishingReport(Record):
+    """Every path of length 2..``maxlen`` of ``quiver``, as ``entries``."""
+
+    __slots__ = _fields = ("quiver", "maxlen", "entries")
 
     @property
     def names(self) -> tuple[str, ...]:

@@ -32,12 +32,12 @@ the factors against a separate brute-force approximation search.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
 from .geometry import _EDGES, TaggedEdge, edge_sort_key
 from .linalg import IntElim, PivotError
 from .mesh import Morphism, compose, morphism_space
+from .record import Record
 
 DEFAULT_ENUMERATION_BOUND = 6
 DEFAULT_LEMMA3_BOUND = 10
@@ -52,25 +52,31 @@ class SymmetryError(RuntimeError):
     non-crossing sets relies on."""
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(Record):
     """A maximal set of pairwise non-crossing tagged edges.
 
     Has exactly n elements (proven in ``test_counts_against_formula``,
-    not counted here); an edge listed twice is rejected.  Every
-    construction validates with one walk over the members' bitset in
-    canonical order, which is also the order the edges are stored in:
-    the first crossing pair in that order is reported, and the set is
-    maximal iff the AND of the member masks is the members' own bits.
-    The bitset stays on the instance as ``_members``; it is not a field,
-    so ``==``, ``hash`` and ``repr`` read only n and the edges.
+    not counted here); an edge listed twice is rejected, as is an n that
+    is not an int.  Every construction validates with one walk over the
+    members' bitset in canonical order, which is also the order the edges
+    are stored in: the first crossing pair in that order is reported, and
+    the set is maximal iff the AND of the member masks is the members'
+    own bits.  The bitset stays on the instance as ``_members``; it is
+    not a field, so ``==``, ``hash`` and ``repr`` read only n and the
+    edges.
     """
 
-    n: int
-    edges: tuple[TaggedEdge, ...]
+    _fields = ("n", "edges")
+    __slots__ = _fields + ("_members",)
+
+    def __init__(self, n: int, edges):
+        super().__init__(n, edges)
+        self.__post_init__()  # wrapped by name in perfbench/spans.py
 
     def __post_init__(self):
         n = self.n
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError(f"polygon size must be an integer, got n={n!r}")
         # below n = 3 there are no edges, so every listed edge is foreign
         order, bits = _canonical_bits(n) if n >= 3 else ((), {})
         try:
@@ -379,21 +385,17 @@ def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:
     return t.replace(m, new), new
 
 
-@dataclass(frozen=True)
-class ExchangeData:
+class ExchangeData(Record):
     """Flip of one edge together with the factors of its exchange relation.
 
     A factor multiset has at most three members.  It is empty exactly when
     that side of the exchange quadrilateral lies entirely on the boundary,
     which happens precisely when the removed edge is the translate of the
     inserted one (or vice versa); the empty product renders as 1.
+    ``after`` is the flipped triangulation, validated once by :func:`flip`.
     """
 
-    removed: TaggedEdge
-    inserted: TaggedEdge
-    side_factors: tuple[TaggedEdge, ...]
-    coside_factors: tuple[TaggedEdge, ...]
-    after: Triangulation  # the flipped triangulation, validated once by flip
+    __slots__ = _fields = ("removed", "inserted", "side_factors", "coside_factors", "after")
 
     def relation_string(self) -> str:
         def prod(factors):
@@ -462,12 +464,11 @@ def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
     return ExchangeData(m, inserted, sides, cosides, after)
 
 
-@dataclass(frozen=True)
-class QuiverPresentation:
-    """Gabriel quiver of the endomorphism algebra of a triangulation."""
+class QuiverPresentation(Record):
+    """Gabriel quiver of the endomorphism algebra of a triangulation; its
+    arrows are (source index, target index, multiplicity)."""
 
-    vertices: tuple[TaggedEdge, ...]
-    arrows: tuple[tuple[int, int, int], ...]  # (source index, target index, multiplicity)
+    __slots__ = _fields = ("vertices", "arrows")
 
     def transposed(self) -> "QuiverPresentation":
         return QuiverPresentation(self.vertices, tuple((b, a, k) for a, b, k in self.arrows))

@@ -271,6 +271,7 @@ def test_flipwalk_rejects_crossing_start(capsys):
     ("--T", "0|+,0|-,0-2,0-3,0-4,,"),
     ("--T", "0|+,,0|-,0-2,0-3,0-4"),
     ("--script", "0-2, ,0-3"),
+    ("--script", ""),
 ])
 def test_flipwalk_rejects_empty_edge_items(capsys, flag, edges):
     argv = ["flipwalk", "--n", "5", "--T", "0|+,0|-,0-2,0-3,0-4", flag, edges]

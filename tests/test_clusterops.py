@@ -1,9 +1,7 @@
-import dataclasses
-
 import pytest
 
 from puncgon import crossing, mesh, suites
-from puncgon.clusterops import ar_triangle, ext1_dim, verify_theorem2
+from puncgon.clusterops import ArTriangle, ar_triangle, ext1_dim, verify_theorem2
 from puncgon.crossing import crossing_number
 from puncgon.geometry import (
     TaggedEdge,
@@ -127,7 +125,7 @@ def test_ar_triangles_suite_catches_a_dropped_summand(monkeypatch):
 
     def dropped(m):
         tri = ar_triangle(m)
-        return dataclasses.replace(tri, middle=tri.middle[1:]) if m == short else tri
+        return ArTriangle(tri.left, tri.middle[1:], tri.right) if m == short else tri
 
     monkeypatch.setattr(suites, "ar_triangle", dropped)
     result = suites.suite_ar_triangles(n)

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -566,7 +565,7 @@ def test_compose_rejects_mismatched_objects():
         compose(f, g)
     # a coordinate tuple of the wrong length for its space
     for bad in (f.coords + (0,), ()):
-        wrong = dataclasses.replace(f, coords=bad)
+        wrong = Morphism(f.source, f.target, bad)
         with pytest.raises(ValueError, match="coordinates"):
             compose(wrong, f)
         with pytest.raises(ValueError, match="coordinates"):

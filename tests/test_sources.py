@@ -3,6 +3,7 @@
 import ast
 import pathlib
 import re
+import subprocess
 import sys
 
 TESTS = pathlib.Path(__file__).resolve().parent
@@ -133,3 +134,26 @@ def test_private_attributes_are_read_where_they_are_defined():
     for path in sorted(SRC.glob("*.py")):
         defined, private = _private_layout(ast.parse(path.read_text(), str(path)))
         assert private <= defined, (path.name, sorted(private - defined))
+
+
+def test_import_loads_no_dataclass_typing_or_rational_machinery():
+    """``import puncgon, puncgon.cli`` adds none of these modules to
+    ``sys.modules``: the records are plain slotted classes, ``fractions``
+    is imported where ``FractionElim`` runs and ``random`` where
+    ``flipwalk`` draws.  ``-S`` skips ``site``, whose ``.pth`` files may
+    import some of them before the package does."""
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "before = set(sys.modules)\n"
+        "import puncgon, puncgon.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    added = set(done.stdout.split())
+    assert {"puncgon", "puncgon.cli"} <= added
+    heavy = {"dataclasses", "inspect", "typing", "fractions", "decimal", "random"}
+    assert not added & heavy

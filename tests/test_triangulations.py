@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import sys
@@ -12,8 +11,9 @@ from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
 from puncgon import suites, triangulation
 from puncgon.linalg import FractionElim, IntElim
 from puncgon.suites import suite_lemma3
-from puncgon.mesh import compose, morphism_space
+from puncgon.mesh import Morphism, compose, morphism_space
 from puncgon.triangulation import (
+    ExchangeData,
     ExchangeError,
     SymmetryError,
     Triangulation,
@@ -101,6 +101,17 @@ def test_duplicate_edge_rejected():
         Triangulation(5, iter(fan.edges + (TaggedEdge(5, 0, 2),)))
 
 
+@pytest.mark.parametrize("n", [5.0, 5.5, "5", None, True, False])
+def test_polygon_size_that_is_not_an_int_rejected(n):
+    """One ValueError names an n that is not an int, or is a bool, also
+    when the edge bits of n = 5 are cached (5.0 == 5 and True == 1 would
+    find them)."""
+    fan = fan_triangulation(5, 0)
+    with pytest.raises(ValueError) as info:
+        Triangulation(n, fan.edges)
+    assert str(info.value) == f"polygon size must be an integer, got n={n!r}"
+
+
 def test_foreign_edge_rejected():
     fan = fan_triangulation(6, 0)
     assert TaggedEdge(6, 0, 2) in fan and TaggedEdge(5, 0, 2) not in fan
@@ -121,8 +132,8 @@ def test_member_that_is_not_an_edge_rejected():
     iterable gets its own error."""
     real, other = TaggedEdge(5, 0, 2), TaggedEdge(5, 1, 3)
     stale = object.__new__(TaggedEdge)
-    for name, value in vars(real).items():
-        object.__setattr__(stale, name, value)
+    for name in TaggedEdge.__slots__:
+        object.__setattr__(stale, name, getattr(real, name))
     assert stale is not real and str(stale) == str(real)
     missing = "a TaggedEdge not in the edge table"
     for member, what in [
@@ -603,7 +614,8 @@ def test_exchange_factors_match_approximation_search_on_walks(n, seed):
 def test_approximation_oracle_rejects_corrupted_factors():
     t, m = left_figure()
     data = exchange_sides(t, m)
-    dropped = dataclasses.replace(data, side_factors=data.side_factors[1:])
+    dropped = ExchangeData(data.removed, data.inserted, data.side_factors[1:],
+                           data.coside_factors, data.after)
     assert oracle_disagreements(t, dropped) != []
     # the search is not merely picky: a sum missing a factor admits no
     # map onto m that is surjective on every Hom(T_j, -)
@@ -707,9 +719,8 @@ def test_mutation_oracle_rejects_swapped_sides(monkeypatch):
 
     def swapped(t, m):
         data = real(t, m)
-        return dataclasses.replace(
-            data, side_factors=data.coside_factors, coside_factors=data.side_factors
-        )
+        return ExchangeData(data.removed, data.inserted, data.coside_factors,
+                            data.side_factors, data.after)
 
     t, m = left_figure()
     assert mutation_mismatches(t, m) == []
@@ -777,7 +788,7 @@ def test_composite_span_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
             if c:
                 coords[i] *= 2
                 break
-        return dataclasses.replace(mor, coords=tuple(coords))
+        return Morphism(mor.source, mor.target, tuple(coords))
 
     monkeypatch.setattr(triangulation, "compose", doubled)
     t, m = left_figure()
