@@ -31,7 +31,6 @@ from .triangulation import (
     ExchangeData,
     ExchangeError,
     QuiverPresentation,
-    SymmetryError,
     Triangulation,
     enumerate_triangulations,
     exchange_sides,

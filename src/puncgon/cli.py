@@ -29,10 +29,9 @@ from .triangulation import (
     DEFAULT_ENUMERATION_BOUND,
     DEFAULT_LEMMA3_BOUND,
     Triangulation,
-    _indices,
     _require_bound,
+    _triangulation_indices,
     exchange_sides,
-    maximal_noncrossing_sets,
     quiver_of_triangulation,
 )
 
@@ -197,9 +196,8 @@ def cmd_verify(args) -> int:
 
 def cmd_triangulations(args) -> int:
     # the search's own sets; the CLI tests re-check them as Triangulations
-    _require_bound(args.n, args.max_enum)
+    indices = _triangulation_indices(args.n, args.max_enum)
     names = [str(e) for e in enumerate_tagged_edges(args.n)]
-    indices = sorted(map(_indices, maximal_noncrossing_sets(args.n)))
     sets = [[names[i] for i in s] for s in indices]
     if args.format == "json":
         _print_json({"n": args.n, "count": len(sets), "triangulations": sets})

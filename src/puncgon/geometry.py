@@ -71,6 +71,13 @@ def delta_len(n: int, a: Vertex, b: Vertex) -> int:
     return ((b - a - 1) % n) + 2
 
 
+def _require_int_n(n) -> None:
+    """Refuse a polygon size that is not an int, or is a bool.  Runs before
+    any cache keyed on n is read, since 5.0 == 5 and True == 1."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"polygon size must be an integer, got n={n!r}")
+
+
 def _validate(n: int, start: Vertex, end: Vertex, tag: int) -> None:
     """Conditions E1-E4 on the fields of a tagged edge.  Each field must be
     an int and not a bool: the first edge built for a key is the one every
@@ -183,6 +190,7 @@ def edge_sort_key(e: TaggedEdge):
 def enumerate_tagged_edges(n: int) -> list[TaggedEdge]:
     """All n**2 tagged edges, in the canonical order of :func:`edge_sort_key`,
     which the two loops emit as they go."""
+    _require_int_n(n)
     if n < 3:
         raise ValueError(f"polygon size must be >= 3, got n={n}")
     out = []

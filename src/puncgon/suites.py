@@ -7,6 +7,8 @@ when every requested suite passes.
 
 from __future__ import annotations
 
+from math import comb
+
 from .clusterops import ar_triangle, verify_theorem2
 from .geometry import (
     TaggedEdge,
@@ -132,18 +134,20 @@ def suite_lemma2(n: int) -> SuiteResult:
 
 
 def suite_lemma3(n: int, max_n: int = DEFAULT_LEMMA3_BOUND) -> SuiteResult:
-    """Every maximal non-crossing set has exactly n elements (n <= max_n)."""
+    """Every maximal non-crossing set has exactly n elements, and there are
+    as many as type D_n has clusters, (3n - 2)/n * C(2n - 2, n - 1)
+    (n <= max_n)."""
     _require_bound(n, max_n)
     sets = maximal_noncrossing_sets(n)
     sizes = sorted({s.bit_count() for s in sets})
-    ok = sizes == [n]
-    details = {"count": len(sets), "sizes": sizes}
+    expected = (3 * n - 2) * comb(2 * n - 2, n - 1) // n
+    miss = "" if len(sets) == expected else f", expected {expected}"
     return SuiteResult(
         "lemma3",
         n,
-        ok,
-        f"{len(sets)} maximal non-crossing sets, sizes {sizes}",
-        details,
+        sizes == [n] and not miss,
+        f"{len(sets)} maximal non-crossing sets, sizes {sizes}{miss}",
+        {"count": len(sets), "sizes": sizes},
     )
 
 

@@ -84,8 +84,6 @@ class ArQuiver(Record):
 
 
 def ar_quiver_of_category(n: int) -> ArQuiver:
-    if n < 3:
-        raise ValueError(f"polygon size must be >= 3, got n={n}")
     vertices = tuple(enumerate_tagged_edges(n))
     arrows = tuple(
         (m, target)

@@ -11,10 +11,8 @@ proven in tests/test_triangulations.py, not re-checked on every call.
 :func:`maximal_noncrossing_sets` returns each maximal set as the int
 bitset of its members over those canonical bits.  It searches only the
 sets through the radius ``0|+`` and turns and tag-swaps them into the
-rest, so on every call it first checks the two facts that rests on:
-turning the polygon and swapping the radius tags map every edge's mask
-to its image edge's mask, and no maximal set lacks a radius.  A failure
-raises :class:`SymmetryError`.
+rest.  The two facts that rests on (both maps keep every compatibility
+mask, and every maximal set has a radius) are proven in the tests.
 
 Exchange factors are the indecomposable summands of minimal right
 approximations over the rest of the triangulation, and those are the
@@ -34,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
-from .geometry import _EDGES, TaggedEdge, edge_sort_key
+from .geometry import _EDGES, TaggedEdge, _require_int_n, edge_sort_key
 from .linalg import IntElim, PivotError
 from .mesh import Morphism, compose, morphism_space
 from .record import Record
@@ -45,11 +43,6 @@ DEFAULT_LEMMA3_BOUND = 10
 
 class ExchangeError(RuntimeError):
     """The flip/exchange structure failed an internal consistency check."""
-
-
-class SymmetryError(RuntimeError):
-    """The compatibility graph lacks a symmetry the enumeration of maximal
-    non-crossing sets relies on."""
 
 
 class Triangulation(Record):
@@ -75,8 +68,7 @@ class Triangulation(Record):
 
     def __post_init__(self):
         n = self.n
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise ValueError(f"polygon size must be an integer, got n={n!r}")
+        _require_int_n(n)
         # below n = 3 there are no edges, so every listed edge is foreign
         order, bits = _canonical_bits(n) if n >= 3 else ((), {})
         try:
@@ -218,48 +210,27 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
     radius in B, and e = 1 only when ``0|-`` is not in B.  Every set
     comes out once, from the g that carries ``0|+`` to its lowest radius.
 
-    That rests on two facts, both checked on every call, or
-    :class:`SymmetryError` is raised: rho and sigma map the compatibility
-    mask of every edge to the mask of its image, and the search with
-    every radius excluded finds no maximal set, so every maximal set has
-    a radius.
+    That rests on two facts the tests prove, not every call: rho and sigma
+    map each edge's compatibility mask to its image's mask (n = 3..16),
+    and every maximal set has a radius (n = 3..10).
     """
+    _require_int_n(n)
     edges = _canonical_bits(n)[0]
-    masks = [_compat_mask(e) for e in edges]
+    nbrs = [_compat_mask(e) & ~(1 << i) for i, e in enumerate(edges)]
     plain, step = n * (n - 2), n - 2
     plain_bits = (1 << plain) - 1
-    radius_bits = ((1 << 2 * n) - 1) << plain
     plus = sum(1 << (plain + 2 * a) for a in range(n))  # the bits of the a|+
 
-    def turn_plain(bits: int) -> int:
+    def turn_plain(bits: int) -> int:  # rho on the plain block
         return ((bits << step) & plain_bits) | (bits >> (plain - step))
 
-    def turn(bits: int) -> int:  # rho
-        radii = bits & radius_bits
-        radii = ((radii << 2) | (radii >> (2 * n - 2))) & radius_bits
-        return turn_plain(bits & plain_bits) | radii
-
-    def swap(bits: int) -> int:  # sigma
-        return (bits & plain_bits) | ((bits & plus) << 1) | ((bits >> 1) & plus)
-
-    for name, g in (("turning the polygon", turn), ("swapping the radius tags", swap)):
-        for i, mask in enumerate(masks):
-            j = g(1 << i).bit_length() - 1
-            if g(mask) != masks[j]:
-                raise SymmetryError(f"{name} maps the compatibility mask of {edges[i]} "
-                                    f"to a set that is not the mask of {edges[j]}")
-    nbrs = [mask & ~(1 << i) for i, mask in enumerate(masks)]
-    free = _maximal_cliques(nbrs, 0, plain_bits, radius_bits)
-    if free:
-        names = ",".join(str(edges[i]) for i in _indices(free[0]))
-        raise SymmetryError(f"the set {names} has no radius and is maximal")
     out: list[int] = []
     emit = out.append
-    for base in _maximal_cliques(nbrs, 1 << plain, nbrs[plain], 0):
-        rest, radii = base & plain_bits, base & radius_bits
+    for base in _maximal_cliques(nbrs, 1 << plain, nbrs[plain]):
+        rest, radii = base & plain_bits, base & ~plain_bits
         # the g with g(0|+) lowest: no radius of B turned past vertex n - 1,
-        # and no swap when 0|- in B would land below the image of 0|+
-        swapped = 0 if (radii >> plain) & 2 else swap(radii)
+        # and no swap (sigma) when 0|- in B would land below the image of 0|+
+        swapped = 0 if (radii >> plain) & 2 else ((radii & plus) << 1) | ((radii >> 1) & plus)
         for k in range(n - ((radii.bit_length() - plain - 1) >> 1)):
             emit(rest | radii << 2 * k)
             if swapped:
@@ -279,17 +250,14 @@ def _indices(bits: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _maximal_cliques(
-    nbrs: list[int], chosen: int = 0, candidates: int | None = None, excluded: int = 0
-) -> list[int]:
+def _maximal_cliques(nbrs: list[int], chosen: int = 0, candidates: int | None = None) -> list[int]:
     """Every maximal clique of the graph whose vertex i has the neighbour
     bitmask ``nbrs[i]`` (no self-loops) that contains the clique
-    ``chosen``, draws the rest from ``candidates`` (default: every
-    vertex) and lies in no larger clique through a vertex of
-    ``excluded``; each as the bitset of its vertices, in ascending order.
-    The root state must be a Bron-Kerbosch state: every candidate and
-    every excluded vertex adjacent to all of ``chosen``.  On the whole
-    graph the empty graph has one clique, the empty one.
+    ``chosen`` and draws the rest from ``candidates`` (default: every
+    vertex), each as the bitset of its vertices, in ascending order.
+    Every candidate must be adjacent to all of ``chosen``, and the
+    candidates must be all such vertices, so nothing is excluded at the
+    root.  The empty graph has one clique, the empty one.
 
     Bron-Kerbosch on bitsets with the Tomita pivot: each node branches
     only on P minus N(u), for the u in P | X maximising |P & N(u)|.  The
@@ -304,7 +272,7 @@ def _maximal_cliques(
     """
     if candidates is None:
         candidates = (1 << len(nbrs)) - 1
-    if not candidates and not excluded:
+    if not candidates:
         return [chosen]
     leaves: list[int] = []
     emit = leaves.append
@@ -345,7 +313,7 @@ def _maximal_cliques(
             excluded |= low
             branch ^= low
 
-    extend(chosen, candidates, excluded)
+    extend(chosen, candidates, 0)
     leaves.sort()
     return leaves
 
@@ -356,14 +324,22 @@ def _require_bound(n: int, max_n: int, what: str = "enumeration", flag: str = "-
                          f"pass a larger max_n ({flag}) to override")
 
 
+def _triangulation_indices(n: int, max_n: int) -> list[tuple[int, ...]]:
+    """Every triangulation as the increasing tuple of its members' indices
+    in :func:`enumerate_tagged_edges`, in lexicographic order.  The search
+    is exponential; n above ``max_n`` is refused unless the bound is
+    raised."""
+    _require_int_n(n)
+    _require_bound(n, max_n)
+    return sorted(map(_indices, maximal_noncrossing_sets(n)))
+
+
 def enumerate_triangulations(
     n: int, max_n: int = DEFAULT_ENUMERATION_BOUND
 ) -> list[Triangulation]:
-    """All triangulations, in deterministic order.  The search is
-    exponential; n above ``max_n`` is refused unless the bound is raised."""
-    _require_bound(n, max_n)
+    """All triangulations, in the order of :func:`_triangulation_indices`."""
+    sets = _triangulation_indices(n, max_n)
     edges = _canonical_bits(n)[0]
-    sets = sorted(map(_indices, maximal_noncrossing_sets(n)))
     return [Triangulation(n, tuple(edges[i] for i in s)) for s in sets]
 
 

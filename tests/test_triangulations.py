@@ -6,16 +6,16 @@ from math import comb
 
 import pytest
 
-from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number
+from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number, crossing_table
 from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
 from puncgon import suites, triangulation
 from puncgon.linalg import FractionElim, IntElim
 from puncgon.suites import suite_lemma3
+from puncgon.tilted import ar_quiver_of_category
 from puncgon.mesh import Morphism, compose, morphism_space
 from puncgon.triangulation import (
     ExchangeData,
     ExchangeError,
-    SymmetryError,
     Triangulation,
     _arrows,
     _indices,
@@ -103,13 +103,23 @@ def test_duplicate_edge_rejected():
 
 @pytest.mark.parametrize("n", [5.0, 5.5, "5", None, True, False])
 def test_polygon_size_that_is_not_an_int_rejected(n):
-    """One ValueError names an n that is not an int, or is a bool, also
-    when the edge bits of n = 5 are cached (5.0 == 5 and True == 1 would
-    find them)."""
+    """One ValueError names an n that is not an int, or is a bool, from
+    every call that takes a polygon size, also when the caches of n = 5
+    are warm (5.0 == 5 and True == 1 would find them)."""
     fan = fan_triangulation(5, 0)
-    with pytest.raises(ValueError) as info:
-        Triangulation(n, fan.edges)
-    assert str(info.value) == f"polygon size must be an integer, got n={n!r}"
+    calls = [
+        lambda k: Triangulation(k, fan.edges),
+        enumerate_tagged_edges,
+        maximal_noncrossing_sets,
+        lambda k: list(crossing_table(k)),
+        ar_quiver_of_category,
+        enumerate_triangulations,
+    ]
+    for call in calls:
+        call(5)
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == f"polygon size must be an integer, got n={n!r}"
 
 
 def test_foreign_edge_rejected():
@@ -210,67 +220,41 @@ def _whole_graph(n):
     return [_compat_mask(e) & ~(1 << i) for i, e in enumerate(edges)]
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 11))
 def test_symmetry_search_matches_the_whole_graph_search(n):
     # the sets through 0|+ turned and tag-swapped give exactly the sets
-    # the generic search finds on the whole compatibility graph
-    assert maximal_noncrossing_sets(n) == sorted(triangulation._maximal_cliques(_whole_graph(n)))
+    # the generic search finds on the whole compatibility graph, and each
+    # of those has a radius (a bit past the n(n - 2) plain ones)
+    whole = triangulation._maximal_cliques(_whole_graph(n))
+    assert all(s >> n * (n - 2) for s in whole)
+    assert maximal_noncrossing_sets(n) == sorted(whole)
 
 
-def _patch_masks(monkeypatch, change):
-    """Make ``triangulation._compat_mask(e)`` return ``change(e, mask)``."""
-    real = triangulation._compat_mask
-    monkeypatch.setattr(triangulation, "_compat_mask", lambda e: change(e, real(e)))
+def _turn(e):
+    """rho: both endpoints one vertex counterclockwise, the tag kept."""
+    return TaggedEdge(e.n, (e.start + 1) % e.n, (e.end + 1) % e.n, e.tag)
 
 
-def _drop_pairs(pairs):
-    """A mask change that makes each pair of edges cross, on both sides."""
-    def change(e, mask):
-        bits = _canonical_bits(e.n)[1]
-        for a, b in pairs:
-            if e is a:
-                mask &= ~bits[b]
-            elif e is b:
-                mask &= ~bits[a]
-        return mask
-    return change
+def _swap(e):
+    """sigma: a radius's tag negated, every chord fixed."""
+    return TaggedEdge(e.n, e.start, e.end, -e.tag) if e.is_central else e
 
 
-@pytest.mark.parametrize("n", [4, 5, 7])
-def test_enumeration_refuses_a_graph_that_turning_does_not_keep(n, monkeypatch):
-    # two plain edges at vertex 0 made to cross, their turned copies not:
-    # swapping tags fixes both, so only turning fails
-    a, b = TaggedEdge(n, 0, 2), TaggedEdge(n, 0, 3)
-    assert crossing_number(a, b) == 0
-    _patch_masks(monkeypatch, _drop_pairs([(a, b)]))
-    with pytest.raises(SymmetryError, match="^turning the polygon maps the compatibility mask of"):
-        maximal_noncrossing_sets(n)
+@pytest.mark.parametrize("n", range(3, 17))
+def test_turning_and_swapping_tags_keep_compatibility(n):
+    # the edges compatible with g(e) are the images under g of the edges
+    # compatible with e, for g = rho and g = sigma, read off the masks
+    # through the edge list, not through shifts of the bits
+    edges = enumerate_tagged_edges(n)
 
+    def compatible(e):
+        mask = _compat_mask(e)
+        return {f for i, f in enumerate(edges) if mask >> i & 1}
 
-@pytest.mark.parametrize("n", [4, 5, 7])
-def test_enumeration_refuses_a_graph_that_swapping_tags_does_not_keep(n, monkeypatch):
-    # every a-(a+2) made to cross a|+ but not a|-: turning keeps that, swapping the tags not
-    pairs = [(TaggedEdge(n, a, (a + 2) % n), TaggedEdge.central(n, a, 1)) for a in range(n)]
-    assert all(crossing_number(x, y) == 0 for x, y in pairs)
-    _patch_masks(monkeypatch, _drop_pairs(pairs))
-    with pytest.raises(SymmetryError,
-                       match="^swapping the radius tags maps the compatibility mask of"):
-        maximal_noncrossing_sets(n)
-
-
-@pytest.mark.parametrize("n", [3, 4, 6])
-def test_enumeration_refuses_a_maximal_set_without_a_radius(n, monkeypatch):
-    # every radius made to cross every plain edge: both symmetries still
-    # hold, and the plain triangulations become maximal with no radius
-    plain = n * (n - 2)
-    low = (1 << plain) - 1
-
-    def change(e, mask):
-        return mask & ~low if e.is_central else mask & low
-
-    _patch_masks(monkeypatch, change)
-    with pytest.raises(SymmetryError, match=r"^the set \S+ has no radius and is maximal$"):
-        maximal_noncrossing_sets(n)
+    for e in edges:
+        seen = compatible(e)
+        for g in (_turn, _swap):
+            assert compatible(g(e)) == {g(f) for f in seen}, (str(e), g.__name__)
 
 
 def test_lemma3_passes_at_its_default_bound():
@@ -324,8 +308,7 @@ def test_maximal_cliques_blocked_compatible_pair():
 @pytest.mark.parametrize("n", range(3, 8))
 def test_every_search_call_has_three_candidates(n):
     # the parent settles every child with at most two candidates, so past
-    # its root no call of either search (the radius-free check, then the
-    # sets through 0|+) sees fewer than three
+    # its root no call of the search through 0|+ sees fewer than three
     roots, sizes = [], []
 
     def profile(frame, event, arg):
@@ -339,7 +322,7 @@ def test_every_search_call_has_three_candidates(n):
     finally:
         sys.setprofile(None)
     through = _compat_mask(TaggedEdge.central(n, 0, 1)).bit_count() - 1
-    assert roots == [n * (n - 2), through]
+    assert roots == [through]
     assert min(sizes, default=3) >= 3
 
 
@@ -367,6 +350,18 @@ def test_lemma3_fails_on_a_set_of_the_wrong_size(n, monkeypatch):
     result = suite_lemma3(n)
     assert not result.passed
     assert result.details == {"count": type_d_cluster_count(n) + 1, "sizes": [n - 1, n]}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 9])
+def test_lemma3_fails_on_a_missing_set(n, monkeypatch):
+    # every set left has size n, so only the type D_n count can fail it
+    real = suites.maximal_noncrossing_sets
+    monkeypatch.setattr(suites, "maximal_noncrossing_sets", lambda k: real(k)[1:])
+    result = suite_lemma3(n)
+    count = type_d_cluster_count(n)
+    assert not result.passed
+    assert result.details == {"count": count - 1, "sizes": [n]}
+    assert result.summary == f"{count - 1} maximal non-crossing sets, sizes [{n}], expected {count}"
 
 
 def test_n3_shape_classes():
