@@ -19,12 +19,13 @@ from .geometry import (
     enumerate_tagged_edges,
     tau,
 )
-from .mesh import compose
+from .mesh import Morphism, compose, morphism_space
 from .record import Record
 from .triangulation import (
+    ExchangeError,
     QuiverPresentation,
     Triangulation,
-    quiver_with_representatives,
+    quiver_of_triangulation,
 )
 
 
@@ -141,6 +142,26 @@ class VanishingReport(Record):
 
 
 _PATH_CAP = 20000
+
+
+def quiver_with_representatives(
+    t: Triangulation,
+) -> tuple[QuiverPresentation, dict[tuple[int, int], list[Morphism]]]:
+    """The Gabriel quiver of End(T) with a basis of irreducible maps for
+    each arrow i -> j: all of Hom(T_i, T_j), which no composite through
+    another member reaches when its dimension is the arrow count.  Every
+    arrow of every triangulation tested has count 1 and dim Hom 1
+    (``test_corner_quiver_matches_the_oracle``); any other pair would
+    need a complement of the composites, so it raises."""
+    quiver = quiver_of_triangulation(t)
+    reps: dict[tuple[int, int], list[Morphism]] = {}
+    for i, j, mult in quiver.arrows:
+        a, b = quiver.vertices[i], quiver.vertices[j]
+        space = morphism_space(a, b)
+        if space.total_dim != mult:
+            raise ExchangeError(f"arrows {a} -> {b}: {mult}, but dim Hom is {space.total_dim}")
+        reps[i, j] = space.basis()
+    return quiver, reps
 
 
 def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:

@@ -14,17 +14,13 @@ sets through the radius ``0|+`` and turns and tag-swaps them into the
 rest.  The two facts that rests on (both maps keep every compatibility
 mask, and every maximal set has a radius) are proven in the tests.
 
-Exchange factors are the indecomposable summands of minimal right
-approximations over the rest of the triangulation, and those are the
-arrows of the Gabriel quiver: the side factors of a flip of m are the
-arrows into m in the quiver of T, the coside factors the arrows into
-its partner m' in the quiver of the flipped T'.  So the factors, the
-quiver and its chosen arrow representatives all come from one kernel,
-:func:`_arrows`: dim Hom(a, b) minus the rank of the compositions
-through the other members, spanned in plain ints by
-:class:`linalg.IntElim` over an explicit Hom basis.  A pivot other than
--1 or 1 there raises :class:`ExchangeError`.  The test suite certifies
-the factors against a separate brute-force approximation search.
+The exchange factors and the quiver are combinatorial: both read the
+skew-symmetric matrix b that :func:`_corner_matrix` builds from the
+corners of T (Fomin-Shapiro-Thurston, Def. 4.1).  The side factors of a
+flip of m are the arrows into m, the coside factors the arrows out of
+m, and a flip mutates b (Buan-Marsh-Reiten).  The tests prove b equal
+to an independent Hom-kernel quiver and certify the factors against a
+brute-force approximation search.
 """
 
 from __future__ import annotations
@@ -33,8 +29,6 @@ from collections import Counter
 
 from .crossing import _canonical_bits, _compat_mask, crossing_number
 from .geometry import _EDGES, TaggedEdge, _require_int_n, edge_sort_key
-from .linalg import IntElim, PivotError
-from .mesh import Morphism, compose, morphism_space
 from .record import Record
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -383,39 +377,42 @@ class ExchangeData(Record):
         )
 
 
-def _extend(span: IntElim, vec, a: TaggedEdge, b: TaggedEdge) -> bool:
-    """``span.add(vec)`` for a span inside Hom(a, b); a pivot other than -1
-    or 1 would make the integer span inexact, so it raises."""
-    try:
-        return span.add(vec)
-    except PivotError as exc:
-        raise ExchangeError(
-            f"compositions {a} -> {b} have pivot {exc.pivot}, not 1 or -1"
-        ) from None
+def _corner_matrix(t: Triangulation) -> Counter:
+    """The skew-symmetric exchange matrix b of t, over indices into
+    ``t.edges``, read off its corners (Fomin-Shapiro-Thurston, Def. 4.1).
 
-
-def _arrows(a: TaggedEdge, b: TaggedEdge, members) -> tuple[int, IntElim]:
-    """Arrows a -> b in the Gabriel quiver of the endomorphism algebra of
-    ``members``: dim Hom(a, b) minus the rank of the span of compositions
-    a -> c -> b through every other member c.  Returns the count and the
-    span, in the flat coordinates of Hom(a, b).  Composing stops as soon
-    as the span is all of Hom(a, b): past that point only its rank is
-    read, and no further composition can change it."""
-    space = morphism_space(a, b)
-    full = space.total_dim
-    span = IntElim(full)
-    for c in members:
-        if span.rank == full:
-            break
-        if c in (a, b):
-            continue
-        gs = morphism_space(c, b).basis()
-        for f in morphism_space(a, c).basis():
-            for g in gs:
-                _extend(span, compose(f, g).coords, a, b)
-                if span.rank == full:
-                    return 0, span
-    return full - span.rank, span
+    At each vertex v the members at v fill slots in the order of the
+    elementary moves about v: the out-chords (v, v+2), ..., (v, v-1), the
+    radius slot (a tag pair fills one slot), the in-chords (v+1, v), ...,
+    (v-2, v).  Each two consecutive slots x, y are a corner, adding 1 to
+    b[x, y] and -1 to b[y, x].  Radii at k >= 3 vertices add the cyclic
+    corners around the puncture, from the radius at each vertex to the
+    next one counterclockwise; with two vertices those would cancel.
+    ``test_corner_quiver_matches_the_oracle`` proves b equal to the
+    Hom-kernel quiver of End(T).
+    """
+    outs: list[list[int]] = [[] for _ in range(t.n)]
+    ins: list[list[tuple[int, int]]] = [[] for _ in range(t.n)]
+    radii: dict[int, list[int]] = {}
+    for i, e in enumerate(t.edges):  # plain edges by (start, span), then radii
+        if e.start == e.end:
+            radii.setdefault(e.start, []).append(i)
+        else:
+            outs[e.start].append(i)
+            ins[e.end].append((-e.span, i))
+    corners = []
+    for v in range(t.n):
+        slots = [[i] for i in outs[v]] + [radii.get(v, [])] + [[i] for _, i in sorted(ins[v])]
+        slots = [slot for slot in slots if slot]  # no radius at v, no radius slot
+        corners += [(x, y) for xs, ys in zip(slots, slots[1:]) for x in xs for y in ys]
+    if len(radii) >= 3:  # then one radius a vertex, in vertex order
+        around = [r for r, in radii.values()]
+        corners += zip(around, around[1:] + around[:1])
+    b: Counter = Counter()
+    for x, y in corners:
+        b[x, y] += 1
+        b[y, x] -= 1
+    return b
 
 
 def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
@@ -423,20 +420,19 @@ def exchange_sides(t: Triangulation, m: TaggedEdge) -> ExchangeData:
 
     The side factors are the summands of the minimal right approximation
     of m over t minus m, and the coside factors those of its flip partner
-    m': the arrows into m in the quiver of t, and the arrows into m' in
-    the quiver of the flipped triangulation, counted with multiplicity.
-    ``test_exchange_invariants_everywhere`` (every flip, n = 3..6) and
-    ``test_flips_mutate_quiver_and_exchange_factors`` (walks, n = 4..16)
-    prove the quadrilateral's laws: e = 1, at most three factors per
-    side, an empty side exactly in the translate case.  The factors are
-    drawn from t minus m, which lies in both triangulations, so they
-    cross neither diagonal.
+    m': the arrows into m and the arrows out of m in the quiver of t
+    (:func:`_corner_matrix`), counted with multiplicity, in the members'
+    edge_sort_key order.  ``test_exchange_invariants_everywhere`` (every
+    flip, n = 3..6) and ``test_flips_mutate_quiver_and_exchange_factors``
+    (walks, n = 4..16) prove the quadrilateral's laws: e = 1, at most
+    three factors per side, an empty side exactly in the translate case.
+    The factors are drawn from t minus m, which lies in both
+    triangulations, so they cross neither diagonal.
     """
     after, inserted = flip(t, m)
-    context = [e for e in t.edges if e != m]
-    # context is in edge_sort_key order, as every Triangulation's edges are
-    sides = tuple(c for c in context for _ in range(_arrows(c, m, t.edges)[0]))
-    cosides = tuple(c for c in context for _ in range(_arrows(c, inserted, after.edges)[0]))
+    b, k = _corner_matrix(t), t.edges.index(m)
+    sides = tuple(c for i, c in enumerate(t.edges) for _ in range(b[i, k]))
+    cosides = tuple(c for i, c in enumerate(t.edges) for _ in range(b[k, i]))
     return ExchangeData(m, inserted, sides, cosides, after)
 
 
@@ -450,30 +446,10 @@ class QuiverPresentation(Record):
         return QuiverPresentation(self.vertices, tuple((b, a, k) for a, b, k in self.arrows))
 
 
-def quiver_with_representatives(
-    t: Triangulation,
-) -> tuple[QuiverPresentation, dict[tuple[int, int], list[Morphism]]]:
-    """The Gabriel quiver together with chosen irreducible representatives:
-    arrow count i -> j is dim Hom(T_i, T_j) minus the span of compositions
-    through the other members.  The quiver has no loops, since every
-    End(T_i) is one-dimensional (``test_end_is_one_dimensional``)."""
-    verts = list(t.edges)
-    arrows: list[tuple[int, int, int]] = []
-    reps: dict[tuple[int, int], list[Morphism]] = {}
-    for i, a in enumerate(verts):
-        for j, b in enumerate(verts):
-            if i == j:
-                continue
-            mult, span = _arrows(a, b, verts)
-            if mult == 0:
-                continue
-            # the basis elements that extend the span, in order
-            reps[(i, j)] = [
-                mor for mor in morphism_space(a, b).basis() if _extend(span, mor.coords, a, b)
-            ]
-            arrows.append((i, j, mult))
-    return QuiverPresentation(tuple(verts), tuple(arrows)), reps
-
-
 def quiver_of_triangulation(t: Triangulation) -> QuiverPresentation:
-    return quiver_with_representatives(t)[0]
+    """The Gabriel quiver of End(T): an arrow (i, j, b[i, j]) for each
+    positive entry of :func:`_corner_matrix`, in (i, j) order.  It has no
+    loops, since every End(T_i) is one-dimensional
+    (``test_end_is_one_dimensional``)."""
+    arrows = tuple((i, j, v) for (i, j), v in sorted(_corner_matrix(t).items()) if v > 0)
+    return QuiverPresentation(t.edges, arrows)

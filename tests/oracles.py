@@ -24,9 +24,14 @@ from puncgon.geometry import (
     enumerate_tagged_edges,
     grid_column,
 )
-from puncgon.linalg import FractionElim
+from puncgon.linalg import FractionElim, IntElim, PivotError
 from puncgon.mesh import ZqVertex, compose, morphism_space, zq_in_arrows, zq_tau
-from puncgon.triangulation import Triangulation, exchange_sides, quiver_of_triangulation
+from puncgon.triangulation import (
+    ExchangeError,
+    QuiverPresentation,
+    Triangulation,
+    exchange_sides,
+)
 
 
 def zq_out_arrows(n: int, v: ZqVertex) -> list[ZqVertex]:
@@ -419,10 +424,61 @@ def minimal_approximation(
 # cluster mutation: quivers and exchange factors across one flip
 
 
+def _extend(span: IntElim, vec, a: TaggedEdge, b: TaggedEdge) -> bool:
+    """``span.add(vec)`` for a span inside Hom(a, b); a pivot other than -1
+    or 1 would make the integer span inexact, so it raises."""
+    try:
+        return span.add(vec)
+    except PivotError as exc:
+        raise ExchangeError(
+            f"compositions {a} -> {b} have pivot {exc.pivot}, not 1 or -1"
+        ) from None
+
+
+def _arrows(a: TaggedEdge, b: TaggedEdge, members) -> tuple[int, IntElim]:
+    """Arrows a -> b in the Gabriel quiver of the endomorphism algebra of
+    ``members``: dim Hom(a, b) minus the rank of the span of compositions
+    a -> c -> b through every other member c.  Returns the count and the
+    span, in the flat coordinates of Hom(a, b).  Composing stops as soon
+    as the span is all of Hom(a, b): past that point only its rank is
+    read, and no further composition can change it."""
+    space = morphism_space(a, b)
+    full = space.total_dim
+    span = IntElim(full)
+    for c in members:
+        if span.rank == full:
+            break
+        if c in (a, b):
+            continue
+        gs = morphism_space(c, b).basis()
+        for f in morphism_space(a, c).basis():
+            for g in gs:
+                _extend(span, compose(f, g).coords, a, b)
+                if span.rank == full:
+                    return 0, span
+    return full - span.rank, span
+
+
+def oracle_quiver(t: Triangulation) -> QuiverPresentation:
+    """The Gabriel quiver of End(T) from Hom bases and composition alone:
+    :func:`_arrows` on every ordered pair of distinct members, in (i, j)
+    order, never the corners of T that the package reads."""
+    verts = t.edges
+    arrows = []
+    for i, a in enumerate(verts):
+        for j, b in enumerate(verts):
+            if i != j:
+                mult = _arrows(a, b, verts)[0]
+                if mult:
+                    arrows.append((i, j, mult))
+    return QuiverPresentation(verts, tuple(arrows))
+
+
 def exchange_matrix(t: Triangulation) -> dict[tuple[TaggedEdge, TaggedEdge], int]:
-    """Skew-symmetric matrix of the Gabriel quiver: b[x, y] is the number
-    of arrows x -> y minus the number of arrows y -> x."""
-    q = quiver_of_triangulation(t)
+    """Skew-symmetric matrix of the Gabriel quiver :func:`oracle_quiver`:
+    b[x, y] is the number of arrows x -> y minus the number of arrows
+    y -> x."""
+    q = oracle_quiver(t)
     b = {(x, y): 0 for x in q.vertices for y in q.vertices}
     for i, j, mult in q.arrows:
         b[q.vertices[i], q.vertices[j]] += mult
@@ -439,10 +495,11 @@ def mutation_mismatches(t: Triangulation, m: TaggedEdge) -> list[str]:
     side factors of the exchange relation must be the arrows into m and
     the coside factors the arrows out of m, counted with multiplicity.
 
-    The package reads the side factors and the quiver off one arrow
-    kernel, so the side-factor comparison is circular: it only checks
-    that the two callers agree.  The mutation of b and the brute-force
-    :func:`minimal_approximation` stay independent of that kernel."""
+    Both quivers come from the Hom kernel :func:`oracle_quiver`, while the
+    package reads its factors off the corners of T, so the factor
+    comparison checks the corner rule against an independent quiver.
+    The brute-force :func:`minimal_approximation` is a third, separate
+    check of the same factors."""
     b = exchange_matrix(t)
     data = exchange_sides(t, m)
     after = exchange_matrix(data.after)

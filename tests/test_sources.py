@@ -60,6 +60,19 @@ def test_only_linalg_uses_fractions():
     assert mentions == {"linalg.py"}
 
 
+def test_triangulation_imports_neither_mesh_nor_linalg():
+    """Flips, exchange factors and the quiver are combinatorial: they read
+    the corners of T, never a Hom basis or an elimination."""
+    path = SRC / "triangulation.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.add(node.module or "")
+        else:
+            imported.update(_imported_modules(node))
+    assert not imported & {"mesh", "linalg", "puncgon.mesh", "puncgon.linalg"}
+
+
 def test_package_imports_only_the_standard_library():
     """puncgon is a pure-stdlib engine: every absolute import in the
     package names a standard-library module (relative imports stay inside

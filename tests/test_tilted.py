@@ -5,6 +5,7 @@ import pytest
 
 from puncgon.crossing import crossing_number
 from puncgon.geometry import TaggedEdge, elementary_moves, enumerate_tagged_edges, pos, tau
+from puncgon import tilted
 from puncgon.render import dimvec_table_text
 from puncgon.tilted import (
     ar_quiver_of_category,
@@ -14,6 +15,7 @@ from puncgon.tilted import (
     vanishing_paths_report,
 )
 from puncgon.triangulation import (
+    ExchangeError,
     Triangulation,
     enumerate_triangulations,
     fan_triangulation,
@@ -279,3 +281,21 @@ def test_fan_has_no_relations():
 def test_vanishing_report_rejects_short_maxlen():
     with pytest.raises(ValueError):
         vanishing_paths_report(paper_example_triangulation(), 1)
+
+
+def test_vanishing_report_refuses_an_arrow_with_a_larger_hom_space(monkeypatch):
+    """An arrow whose Hom space is bigger than its count would need a
+    complement of the composites for its representative; with dim Hom(3-1,
+    3|+) forced to 2, the report raises and names the pair."""
+    real = tilted.morphism_space
+
+    class Wider:
+        total_dim = 2
+
+    def widened(a, b):
+        return Wider() if (str(a), str(b)) == ("3-1", "3|+") else real(a, b)
+
+    monkeypatch.setattr(tilted, "morphism_space", widened)
+    with pytest.raises(ExchangeError) as info:
+        vanishing_paths_report(paper_example_triangulation(), 3)
+    assert str(info.value) == "arrows 3-1 -> 3|+: 1, but dim Hom is 2"

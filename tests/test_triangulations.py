@@ -17,7 +17,6 @@ from puncgon.triangulation import (
     ExchangeData,
     ExchangeError,
     Triangulation,
-    _arrows,
     _indices,
     enumerate_triangulations,
     exchange_sides,
@@ -29,12 +28,14 @@ from puncgon.triangulation import (
 
 import oracles
 from oracles import (
+    _arrows,
     admits_surjections,
     brute_force_maximal_cliques,
     int_rank,
     lowest_first_maximal_sets,
     minimal_approximation,
     mutation_mismatches,
+    oracle_quiver,
 )
 
 
@@ -709,6 +710,53 @@ def test_flips_mutate_quiver_and_exchange_factors(n):
     assert len(t.edges) == n
 
 
+def assert_corner_quiver(t):
+    """The quiver read off the corners of t is the Hom-kernel quiver of the
+    oracle, and each of its arrows a -> b has count 1 and dim Hom(a, b) = 1,
+    so the whole Hom space is irreducible."""
+    q = quiver_of_triangulation(t)
+    assert q == oracle_quiver(t), str(t)
+    for i, j, mult in q.arrows:
+        a, b = q.vertices[i], q.vertices[j]
+        assert mult == morphism_space(a, b).total_dim == 1, (str(t), str(a), str(b))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_corner_quiver_matches_the_oracle(n):
+    """Every triangulation: 2,508 at n = 7."""
+    for t in enumerate_triangulations(n, max_n=7):
+        assert_corner_quiver(t)
+
+
+@pytest.mark.parametrize("n", range(8, 17))
+def test_corner_quiver_matches_the_oracle_on_walks(n):
+    rng = random.Random(f"corners:{n}")
+    t = fan_triangulation(n, rng.randrange(n))
+    for _ in range(10):
+        assert_corner_quiver(t)
+        t = flip(t, rng.choice(t.edges))[0]
+    assert_corner_quiver(t)
+
+
+def test_corner_quiver_turns_counterclockwise_around_the_puncture():
+    """Radii at three vertices: the corners around the puncture run from
+    the radius at each vertex to the next one counterclockwise, closing
+    the triangle of each chord 0-2, 2-4, 4-0 with its two radii."""
+    t = Triangulation.of(
+        [TaggedEdge(6, 0, 2), TaggedEdge(6, 2, 4), TaggedEdge(6, 4, 0)]
+        + [TaggedEdge.central(6, a, 1) for a in (0, 2, 4)]
+    )
+    q = quiver_of_triangulation(t)
+    named = {(str(q.vertices[i]), str(q.vertices[j]), k) for i, j, k in q.arrows}
+    assert named == {
+        ("0|+", "2|+", 1), ("2|+", "4|+", 1), ("4|+", "0|+", 1),
+        ("0-2", "0|+", 1), ("2|+", "0-2", 1),
+        ("2-4", "2|+", 1), ("4|+", "2-4", 1),
+        ("4-0", "4|+", 1), ("0|+", "4-0", 1),
+    }
+    assert_corner_quiver(t)
+
+
 def test_mutation_oracle_rejects_swapped_sides(monkeypatch):
     real = oracles.exchange_sides
 
@@ -771,9 +819,10 @@ def test_integer_span_matches_the_rational_reference(n):
 
 
 def test_composite_span_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
-    """The integrality check: with the first coefficient of every
-    composite doubled, the first nonzero composite the arrow kernel meets
-    (here on the coside, into the inserted 2-6) has pivot 2, and the
+    """The integrality check of the oracle's arrow kernel: with the first
+    coefficient of every composite doubled, the first nonzero composite
+    it meets on the exchange of the left figure (the arrows into m in t,
+    then into the inserted 2-6 in the flipped t) has pivot 2, and the
     error names the pair."""
 
     def doubled(f, g):
@@ -785,8 +834,12 @@ def test_composite_span_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
                 break
         return Morphism(mor.source, mor.target, tuple(coords))
 
-    monkeypatch.setattr(triangulation, "compose", doubled)
+    monkeypatch.setattr(oracles, "compose", doubled)
     t, m = left_figure()
+    after, inserted = flip(t, m)
+    context = [c for c in t.edges if c != m]
     with pytest.raises(ExchangeError) as info:
-        exchange_sides(t, m)
+        for target, members in ((m, t.edges), (inserted, after.edges)):
+            for c in context:
+                _arrows(c, target, members)
     assert str(info.value) == "compositions 6-0 -> 2-6 have pivot 2, not 1 or -1"
