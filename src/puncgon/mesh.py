@@ -24,9 +24,10 @@ mesh-relation coefficients are +1).  :class:`HomSweep` computes the
 quotient by eliminating column by column (each vertex keeps an explicit
 reduced basis of path classes), which avoids the exponential path blowup
 on wide strips.  The elimination is :class:`linalg.IntElim`, over plain
-ints: every pivot it meets is -1 or 1, so each stored projection ``proj`` holds only the ints
--1, 0 and 1, and a pivot of any other value raises
-:class:`MeshClosureError`.  Composition works in the same ints.  The
+ints: every pivot it meets is -1 or 1, so the matrix stored for each
+arrow holds only the ints -1, 0 and 1, and a pivot of any other value
+raises :class:`MeshClosureError`.  Composition applies the same
+matrices.  The
 test suite certifies the sweep against a literal oracle that enumerates
 every path and subtracts the exact rank of the relations u * m_X * v.
 
@@ -53,6 +54,7 @@ through, each named by :func:`puncgon.geometry.edge_at`.
 from __future__ import annotations
 
 from functools import cached_property
+from operator import itemgetter, mul
 
 from .geometry import (
     TaggedEdge,
@@ -104,17 +106,20 @@ _MAX_N = 2000
 
 
 class _Space:
-    __slots__ = ("dim", "paths", "ins", "offs", "proj")
+    __slots__ = ("dim", "paths", "maps")
 
-    def __init__(self, dim, paths, ins, offs, proj):
+    def __init__(self, dim, paths, maps):
         self.dim = dim
         self.paths = paths  # basis representatives, as tuples of ZqVertex
-        self.ins = ins  # predecessors with nonzero spaces, canonical order
-        self.offs = offs  # block offset of each predecessor
-        self.proj = proj  # int rows in {-1, 0, 1}: incoming-sum -> basis coordinates
+        # in-neighbour y with V(y) != 0 -> the matrix of the arrow y -> x:
+        # entry b is the image of V(y)'s b-th unit over this basis
+        self.maps = maps
 
 
-_ZERO_SPACE = _Space(0, (), (), (), ())
+_ZERO_SPACE = _Space(0, (), {})
+
+# every arrow matrix, interned: the sweeps of n = 3..40 have 11 distinct ones
+_MATRICES: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
 
 
 class HomSweep:
@@ -125,23 +130,23 @@ class HomSweep:
     name; off it :meth:`space` is the zero space, since Hom out of the
     source vanishes past column n - 2.  Each vertex x of the strip stores
     a basis of Hom(source, x) given by lexicographically first
-    independent paths, together with the projection of every incoming
-    composition onto that basis.  At vertex x the incoming direct sum over the in-arrows y is
-    divided by the image of Hom(source, tau x) under the mesh map; this
-    is the path space modulo all relations u * m_X * v, peeled off one
-    final arrow at a time.
+    independent paths, together with the int matrix of every in-arrow
+    y -> x over the bases of y and x.  At vertex x the incoming direct
+    sum over the in-arrows y is divided by the image of Hom(source,
+    tau x) under the mesh map; this is the path space modulo all
+    relations u * m_X * v, peeled off one final arrow at a time.
 
     One reduced echelon form per vertex decides both.  Its columns are
-    the incoming coordinates, indexed by their candidate paths in
-    descending order, and its rows are the mesh relations, read from the
-    tau x column of each predecessor's projection.  A pivot is the first
-    nonzero entry of its row, so the pivot columns are the paths that
-    are combinations of relations and smaller paths; the free columns,
-    ascending, are the basis.  A free unit projects to itself and a pivot
-    unit to minus its reduced row on the free columns.  The elimination
-    is over ints: each pivot must be -1 or 1, and any other pivot raises
-    :class:`MeshClosureError`, since the integrality of the projections
-    rests on it.
+    the units of the incoming sum, as (path, y, b) candidates in
+    descending order, and its rows are the mesh relations: relation u
+    has entry ``maps[tau x][u][b]`` of the space at y in the column of
+    (path, y, b).  A pivot is the first nonzero entry of its row, so the
+    pivot columns are the paths that are combinations of relations and
+    smaller paths; the free columns, ascending, are the basis.  A free
+    unit maps to itself and a pivot unit to minus its reduced row on the
+    free columns.  The elimination is over ints: each pivot must be -1
+    or 1, and any other pivot raises :class:`MeshClosureError`, since
+    the integrality of the matrices rests on it.
     """
 
     def __init__(self, n: int, src_level: int):
@@ -158,76 +163,55 @@ class HomSweep:
     def dim(self, v: ZqVertex) -> int:
         return self.space(v).dim
 
-    def _arrow_apply(self, z: ZqVertex, y: ZqVertex, vec):
-        """Image in V(y) of a V(z) vector under composition with arrow z -> y."""
-        ysp = self._spaces[y]
-        iz = ysp.ins.index(z)
-        off = ysp.offs[iz]
-        return [sum(row[off + t] * vec[t] for t in range(len(vec))) for row in ysp.proj]
-
     def _compute(self, x: ZqVertex) -> _Space:
-        n = self.n
         if x == self.src:
-            return _Space(1, ((x,),), (), (), ())
-        ins = [
-            y
-            for y in zq_in_arrows(n, x)
-            if y[0] >= 0 and self._spaces.get(y, _ZERO_SPACE).dim > 0
-        ]
+            return _Space(1, ((x,),), {})
+        spaces = self._spaces
+        ins = [y for y in zq_in_arrows(self.n, x) if spaces.get(y, _ZERO_SPACE).dim]
         if not ins:
             return _ZERO_SPACE
-        offs = []
-        paths = []  # candidate path of each incoming-sum coordinate
-        for y in ins:
-            offs.append(len(paths))
-            paths.extend(p + (x,) for p in self._spaces[y].paths)
-        total = len(paths)
-        # elimination column i holds the coordinate order[i]: descending paths
-        order = sorted(range(total), key=paths.__getitem__, reverse=True)
-        col = {u: i for i, u in enumerate(order)}
-        # mesh relations: the tau x column of each predecessor's projection
-        t = zq_tau(x)
+        # the units of the incoming sum, by descending path; a key, since comparing
+        # triples first tests the long paths for equality
+        cands = [(p + (x,), y, b) for y in ins for b, p in enumerate(spaces[y].paths)]
+        cands.sort(key=itemgetter(0), reverse=True)
+        total = len(cands)
         elim = IntElim(total)
-        for u in range(self.space(t).dim):
-            row = [0] * total
-            for y, off in zip(ins, offs):
-                ysp = self._spaces[y]
-                tcol = ysp.offs[ysp.ins.index(t)] + u
-                for b, prow in enumerate(ysp.proj):
-                    row[col[off + b]] = prow[tcol]
-            try:
-                elim.add(row)
-            except PivotError as exc:
-                raise MeshClosureError(
-                    f"mesh relation at vertex {x} has pivot {exc.pivot}, not 1 or -1"
-                ) from None
+        t = zq_tau(x)
+        if spaces.get(t, _ZERO_SPACE).dim:
+            mesh = {y: spaces[y].maps[t] for y in ins}
+            for u in range(spaces[t].dim):
+                try:
+                    elim.add([mesh[y][u][b] for _, y, b in cands])
+                except PivotError as exc:
+                    raise MeshClosureError(
+                        f"mesh relation at vertex {x} has pivot {exc.pivot}, not 1 or -1"
+                    ) from None
         reduced = elim.rows  # pivot column -> row, reduced echelon form
         # pivots are the rejected paths; the free columns, ascending, are the basis
         basis = [i for i in reversed(range(total)) if i not in reduced]
-        proj = tuple(
-            tuple(
-                -reduced[col[u]][b] if col[u] in reduced else int(col[u] == b)
-                for u in range(total)
-            )
-            for b in basis
-        )
-        return _Space(
-            len(basis), tuple(paths[order[b]] for b in basis), tuple(ins), tuple(offs), proj
-        )
+        if not basis:
+            return _ZERO_SPACE
+        images = {y: [None] * spaces[y].dim for y in ins}
+        for i, (_, y, b) in enumerate(cands):
+            row = reduced.get(i)
+            image = [int(i == f) for f in basis] if row is None else [-row[f] for f in basis]
+            images[y][b] = tuple(image)
+        maps = {}
+        for y, rows in images.items():
+            m = tuple(rows)
+            maps[y] = _MATRICES.setdefault(m, m)
+        return _Space(len(basis), tuple([cands[f][0] for f in basis]), maps)
 
     def _walk(
         self, prev: ZqVertex, coords: list[int], steps: tuple[ZqVertex, ...]
     ) -> tuple[ZqVertex, list[int]]:
         """Continue the coordinates of a path class ending at ``prev`` along
-        the arrows to ``steps``."""
+        the arrows to ``steps``, applying each arrow's matrix."""
         for v in steps:
             sp = self.space(v)
             if sp.dim == 0:
                 return v, []
-            if any(coords):
-                coords = self._arrow_apply(prev, v, coords)
-            else:
-                coords = [0] * sp.dim
+            coords = [sum(map(mul, coords, col)) for col in zip(*sp.maps[prev])]
             prev = v
         return prev, coords
 

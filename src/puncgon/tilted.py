@@ -110,12 +110,12 @@ def ar_quiver_of_tilted(t: Triangulation) -> ArQuiver:
 
 
 class VanishingEntry(Record):
-    """An arrow path, as (source, target, instance) triples, and whether
-    its composite is zero."""
+    """An arrow path, as (source, target) pairs of quiver vertex indices,
+    and whether its composite is zero."""
 
     __slots__ = _fields = ("arrows", "is_zero")
 
-    def __init__(self, arrows: tuple[tuple[int, int, int], ...], is_zero: bool):
+    def __init__(self, arrows: tuple[tuple[int, int], ...], is_zero: bool):
         object.__setattr__(self, "arrows", arrows)
         object.__setattr__(self, "is_zero", is_zero)
 
@@ -144,56 +144,44 @@ class VanishingReport(Record):
 _PATH_CAP = 20000
 
 
-def quiver_with_representatives(
-    t: Triangulation,
-) -> tuple[QuiverPresentation, dict[tuple[int, int], list[Morphism]]]:
-    """The Gabriel quiver of End(T) with a basis of irreducible maps for
-    each arrow i -> j: all of Hom(T_i, T_j), which no composite through
-    another member reaches when its dimension is the arrow count.  Every
-    arrow of every triangulation tested has count 1 and dim Hom 1
-    (``test_corner_quiver_matches_the_oracle``); any other pair would
-    need a complement of the composites, so it raises."""
+def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:
+    """Evaluate every arrow path of length 2..maxlen in the Gabriel quiver
+    of End(T) and report which compositions vanish.
+
+    Each arrow i -> j stands for its irreducible map, the basis of
+    Hom(T_i, T_j).  Type D is of finite type, so every arrow has count 1
+    (Fomin-Zelevinsky, Invent. Math. 154, 2003), and its Hom space has
+    dimension 1 (``test_corner_quiver_matches_the_oracle``), so no
+    composite through another member reaches it.  An arrow with another
+    count or dimension would need a complement of the composites, so it
+    raises."""
+    if maxlen < 2:
+        raise ValueError(f"maxlen must be at least 2, got {maxlen}")
     quiver = quiver_of_triangulation(t)
-    reps: dict[tuple[int, int], list[Morphism]] = {}
+    arrows = []  # (i, j, the arrow's morphism), in quiver order
+    by_source: dict[int, list[tuple[int, int, Morphism]]] = {}
     for i, j, mult in quiver.arrows:
         a, b = quiver.vertices[i], quiver.vertices[j]
         space = morphism_space(a, b)
-        if space.total_dim != mult:
+        if mult != 1 or space.total_dim != 1:
             raise ExchangeError(f"arrows {a} -> {b}: {mult}, but dim Hom is {space.total_dim}")
-        reps[i, j] = space.basis()
-    return quiver, reps
-
-
-def vanishing_paths_report(t: Triangulation, maxlen: int) -> VanishingReport:
-    """Evaluate every arrow path of length 2..maxlen in the Gabriel quiver
-    of End(T) and report which compositions vanish."""
-    if maxlen < 2:
-        raise ValueError(f"maxlen must be at least 2, got {maxlen}")
-    quiver, reps = quiver_with_representatives(t)
-    instances = [
-        (i, j, s, reps[(i, j)][s])
-        for (i, j, mult) in quiver.arrows
-        for s in range(mult)
-    ]
-    by_source: dict[int, list[tuple[int, int, int, object]]] = {}
-    for inst in instances:
-        by_source.setdefault(inst[0], []).append(inst)
+        arrows.append((i, j, space.basis()[0]))
+        by_source.setdefault(i, []).append(arrows[-1])
     entries: list[VanishingEntry] = []
     # each path carries its composite, or None once it is zero: every
     # extension of a zero path is zero
-    frontier = [(((i, j, s),), mor) for (i, j, s, mor) in instances]
+    frontier = [(((i, j),), mor) for i, j, mor in arrows]
     length = 1
     while length < maxlen and frontier:
         nxt = []
-        for arrows, mor in frontier:
-            tail = arrows[-1][1]
-            for (i, j, s, rep) in by_source.get(tail, ()):
+        for path, mor in frontier:
+            for i, j, rep in by_source.get(path[-1][1], ()):
                 composite = None if mor is None else compose(mor, rep)
                 if composite is not None and composite.is_zero():
                     composite = None
-                path = arrows + ((i, j, s),)
-                entries.append(VanishingEntry(path, composite is None))
-                nxt.append((path, composite))
+                longer = path + ((i, j),)
+                entries.append(VanishingEntry(longer, composite is None))
+                nxt.append((longer, composite))
                 if len(entries) > _PATH_CAP:
                     raise ValueError(
                         f"more than {_PATH_CAP} arrow paths; lower maxlen"

@@ -220,7 +220,8 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
 
     out: list[int] = []
     emit = out.append
-    for base in _maximal_cliques(nbrs, 1 << plain, nbrs[plain]):
+    # ascending bases leave ascending runs in out, which its final sort merges
+    for base in sorted(_maximal_cliques(nbrs, 1 << plain, nbrs[plain])):
         rest, radii = base & plain_bits, base & ~plain_bits
         # the g with g(0|+) lowest: no radius of B turned past vertex n - 1,
         # and no swap (sigma) when 0|- in B would land below the image of 0|+
@@ -248,7 +249,7 @@ def _maximal_cliques(nbrs: list[int], chosen: int = 0, candidates: int | None = 
     """Every maximal clique of the graph whose vertex i has the neighbour
     bitmask ``nbrs[i]`` (no self-loops) that contains the clique
     ``chosen`` and draws the rest from ``candidates`` (default: every
-    vertex), each as the bitset of its vertices, in ascending order.
+    vertex), each as the bitset of its vertices, in search order.
     Every candidate must be adjacent to all of ``chosen``, and the
     candidates must be all such vertices, so nothing is excluded at the
     root.  The empty graph has one clique, the empty one.
@@ -262,7 +263,7 @@ def _maximal_cliques(nbrs: list[int], chosen: int = 0, candidates: int | None = 
     a, b not adjacent, R + v + a iff x & N(a) is empty, and the same for
     b.  Those are the leaves the child's own recursion would emit, so
     only children with three or more candidates are called.  Each leaf is
-    emitted as ``chosen | bits``; sorting the ints once fixes the order.
+    emitted as ``chosen | bits``.
     """
     if candidates is None:
         candidates = (1 << len(nbrs)) - 1
@@ -308,7 +309,6 @@ def _maximal_cliques(nbrs: list[int], chosen: int = 0, candidates: int | None = 
             branch ^= low
 
     extend(chosen, candidates, 0)
-    leaves.sort()
     return leaves
 
 

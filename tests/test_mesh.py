@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -259,37 +260,31 @@ def test_int_rank_known_matrices(rows, rank):
     assert int_rank(rows) == rank
 
 
-def _unit_paths(sweep, x, sp):
-    """Candidate path of every incoming-sum coordinate of x, by coordinate."""
-    out = []
-    for y in sp.ins:
-        out.extend(p + (x,) for p in sweep.space(y).paths)
-    return out
+def _units(sweep, x, sp):
+    """Every unit of the incoming sum of x, as (candidate path, y, b): the
+    b-th basis path of an in-neighbour y, continued to x."""
+    return [(p + (x,), y, b) for y in sp.maps for b, p in enumerate(sweep.space(y).paths)]
 
 
-def _mesh_rows(sweep, x, sp):
-    """Image of each basis unit of tau x in the incoming sum of x."""
+def _mesh_rows(sweep, x, units):
+    """Image of each basis unit of tau x in the incoming sum of x, by unit."""
     t = zq_tau(x)
-    rows = []
-    for u in range(sweep.dim(t)):
-        row = []
-        for y in sp.ins:
-            ysp = sweep.space(y)
-            col = ysp.offs[ysp.ins.index(t)] + u if t in ysp.ins else None
-            row.extend(0 if col is None else r[col] for r in ysp.proj)
-        rows.append(row)
-    return rows
+    return [
+        [sweep.space(y).maps[t][u][b] for _, y, b in units] for u in range(sweep.dim(t))
+    ]
 
 
 @pytest.mark.parametrize("n", range(3, 10))
 def test_sweep_spaces_are_greedy_lex_bases(n):
     """Each stored space is the quotient of the incoming sum by the tau x
     mesh rows, with the lexicographically first independent paths as basis
-    and each path projected onto basis paths sorting before it.  These
-    properties, with the knitted dimension, fix basis and projection.
-    The i-th basis path also reduces to the i-th unit vector, which lets
-    compose start after f's representative without walking it.  The
-    sweeps are the cached ones that production code reads."""
+    and each arrow's matrix sending a unit's path onto basis paths sorting
+    before it.  These properties, with the knitted dimension, fix basis
+    and matrices.  Each arrow with a nonzero source has its matrix, equal
+    matrices are one interned object, and the i-th basis path also
+    reduces to the i-th unit vector, which lets compose start after f's
+    representative without walking it.  The sweeps are the cached ones
+    that production code reads."""
     last = 2 * n + 1
     for level in range(1, n + 1):
         knit = hom_dims_by_knitting(n, level, last)
@@ -304,18 +299,25 @@ def test_sweep_spaces_are_greedy_lex_bases(n):
                     unit = [int(r == i) for r in range(sp.dim)]
                     assert sweep._walk(sweep.src, [1], path[1:]) == (x, unit), (n, level, path)
                 if x == sweep.src or sp.dim == 0:
+                    assert not sp.maps, (n, level, x)
                     continue
-                paths = _unit_paths(sweep, x, sp)
-                assert all(v in (-1, 0, 1) for r in sp.proj for v in r), (n, level, x)
-                for col, path in enumerate(paths):
-                    image = [r[col] for r in sp.proj]
+                assert set(sp.maps) == {y for y in zq_in_arrows(n, x) if sweep.dim(y)}
+                for y, m in sp.maps.items():
+                    assert m is mesh._MATRICES[m], (n, level, x, y)
+                    assert len(m) == sweep.dim(y) and all(len(r) == sp.dim for r in m)
+                    assert all(v in (-1, 0, 1) for r in m for v in r), (n, level, x)
+                units = _units(sweep, x, sp)
+                images = [sp.maps[y][b] for _, y, b in units]
+                for (path, _, _), image in zip(units, images):
                     if path in sp.paths:
                         b = sp.paths.index(path)
-                        assert image == [int(r == b) for r in range(sp.dim)], (n, level, x)
+                        assert image == tuple(int(r == b) for r in range(sp.dim)), (n, level, x)
                     else:
                         assert all(sp.paths[r] < path for r, v in enumerate(image) if v)
-                for row in _mesh_rows(sweep, x, sp):
-                    assert all(sum(a * b for a, b in zip(r, row)) == 0 for r in sp.proj)
+                for row in _mesh_rows(sweep, x, units):
+                    assert all(
+                        sum(a * img[k] for a, img in zip(row, images)) == 0 for k in range(sp.dim)
+                    ), (n, level, x)
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +624,35 @@ def test_compose_refuses_a_path_of_g_translated_off_fs_end(monkeypatch):
     assert str(info.value) == f"translated path of g starts at {cell}, not at f's end {moved}"
 
 
+def test_bases_and_composites_keep_their_digests():
+    """Pinned bytes of the sweep's bases and of compose, beyond the small
+    goldens: the sha256 of (shift, cell, paths) of every morphism space for
+    n = 3..8, and of the coordinates of every composite of two basis
+    morphisms at n = 4, of which some are nonzero."""
+    bases = hashlib.sha256()
+    for n in range(3, 9):
+        edges = enumerate_tagged_edges(n)
+        for m in edges:
+            for o in edges:
+                sp = morphism_space(m, o)
+                bases.update(repr((sp.shift, sp.cell, sp.paths)).encode())
+    assert bases.hexdigest() == "e25dd71c27ab478de67afaf0ac88f148fb30f06df514d43a713060df2c2dbdf1"
+    composites, nonzero = hashlib.sha256(), 0
+    edges = enumerate_tagged_edges(4)
+    for a in edges:
+        for b in edges:
+            for f in morphism_space(a, b).basis():
+                for c in edges:
+                    for g in morphism_space(b, c).basis():
+                        coords = compose(f, g).coords
+                        composites.update(repr(coords).encode())
+                        nonzero += any(coords)
+    assert nonzero > 0
+    assert composites.hexdigest() == (
+        "104ca31c14012a7a988094043641799e99eb01ee02b95873560c66a03b9cf8db"
+    )
+
+
 def test_compose_coefficients_are_ints():
     edges = enumerate_tagged_edges(5)
     seen = set()
@@ -637,13 +668,13 @@ def test_compose_coefficients_are_ints():
 
 
 def test_sweep_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
-    """The integrality check: with the projection of (0, 2) onto its one
-    in-arrow from the source corrupted from 1 to 2, the mesh relation at
-    (1, 1), whose translate is the source, has pivot 2."""
+    """The integrality check: with the matrix of the arrow from the source
+    into (0, 2) corrupted from 1 to 2, the mesh relation at (1, 1), whose
+    translate is the source, has pivot 2."""
     sweep = HomSweep(4, 1)  # a fresh sweep, so the cached ones stay intact
     space = sweep.space((0, 2))
-    assert space.proj == ((1,),)
-    monkeypatch.setattr(space, "proj", ((2,),))
+    assert space.maps == {(0, 1): ((1,),)}
+    monkeypatch.setitem(space.maps, (0, 1), ((2,),))
     with pytest.raises(MeshClosureError, match=r"vertex \(1, 1\) has pivot 2,"):
         sweep._compute((1, 1))
 
