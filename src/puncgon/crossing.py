@@ -29,11 +29,12 @@ The first bracket is the translate of the other edge's chord that starts
 inside m's window and ends beyond it, the second the one that starts
 before m's window and ends inside it.
 
-:func:`crossing_row` applies the same closed form from one edge to a
-whole row of targets, with m's start, width and tag read once; dimension
-vectors take their values from it.  :func:`crossing_number` stays the
-pairwise reference, and the per-edge compatibility masks (computed once
-per edge) use it.
+:func:`crossing_number` is the one closed form, and :func:`crossing_row`
+maps it over a row of targets.  The pair is the kernel here, unlike Hom,
+where a pairwise Hom is a row of one (:mod:`puncgon.mesh`): the hot path,
+the per-edge compatibility masks, makes n**2 pair calls per edge, while
+rows serve only the n base rows of :func:`crossing_table` and the
+dimension vectors.
 
 Turning the polygon by one vertex maps tagged edges to tagged edges,
 keeps every tag, and keeps every crossing number: the closed form reads
@@ -72,27 +73,8 @@ def crossing_number(m: TaggedEdge, other: TaggedEdge) -> int:
 
 
 def crossing_row(m: TaggedEdge, targets) -> list[int]:
-    """``[crossing_number(m, o) for o in targets]``, with m read once."""
-    n, a = m.n, m.start
-    w_m = (m.end - a) % n
-    out = []
-    append = out.append
-    for o in targets:
-        if o.n != n:
-            _require_same_n(m, o)
-        c = o.start
-        w_o = (o.end - c) % n
-        if not w_m:
-            if not w_o:
-                append(1 if (a != c and m.tag != o.tag) else 0)
-            else:
-                append(1 if 0 < (a - c) % n < w_o else 0)
-        elif not w_o:
-            append(1 if 0 < (c - a) % n < w_m else 0)
-        else:
-            s, t = (c - a) % n, (a - c) % n
-            append((0 < s < w_m and s + w_o > w_m) + (0 < t < w_o and w_o - t < w_m))
-    return out
+    """``[crossing_number(m, o) for o in targets]``."""
+    return [crossing_number(m, o) for o in targets]
 
 
 def crossing_table(n: int):

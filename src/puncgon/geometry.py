@@ -50,10 +50,6 @@ def ccw_neighbor(n: int, v: Vertex) -> Vertex:
     return (v + 1) % n
 
 
-def cw_neighbor(n: int, v: Vertex) -> Vertex:
-    return (v - 1) % n
-
-
 def delta_len(n: int, a: Vertex, b: Vertex) -> int:
     """Number of vertices on the counterclockwise boundary path from a to b.
 
@@ -236,15 +232,12 @@ def elementary_moves(m: TaggedEdge) -> list[TaggedEdge]:
 
 
 def tau(m: TaggedEdge) -> TaggedEdge:
-    """Translation: rotate both endpoints one step clockwise, negating the
-    tag on central edges."""
-    n = m.n
-    if m.is_central:
-        return TaggedEdge.central(n, cw_neighbor(n, m.start), -m.tag)
-    return TaggedEdge(n, cw_neighbor(n, m.start), cw_neighbor(n, m.end), 1)
+    return tau_power(m, 1)
 
 
 def tau_power(m: TaggedEdge, k: int) -> TaggedEdge:
+    """Translation tau**k: rotate both endpoints k steps clockwise (k may
+    be negative), negating the tag of a central edge when k is odd."""
     n = m.n
     if m.is_central:
         return TaggedEdge.central(n, (m.start - k) % n, m.tag * (-1) ** (k % 2))
@@ -279,8 +272,7 @@ def _fork_level(n: int, tag: int, column: int) -> int:
 
 def _fork_tag(n: int, level: int, column: int) -> int:
     """Inverse of :func:`_fork_level`: the tag at fork level n-1 or n."""
-    top = 1 if column % 2 else -1  # (-1) ** k is a float for negative k
-    return top if level == n else -top
+    return 1 if level == _fork_level(n, 1, column) else -1
 
 
 def grid_level(m: TaggedEdge) -> int:

@@ -137,6 +137,28 @@ def test_table_computes_one_row_per_class(n, monkeypatch):
     assert len({id(r) for r in rows}) == n * n
 
 
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_rows_and_table_are_pair_calls(n, monkeypatch):
+    """crossing_number is the one crossing kernel: a row makes one pair
+    call per target and returns their values, and the table makes n pair
+    calls per target, one row per class at vertex 0."""
+    values = []
+    kernel = crossing.crossing_number
+
+    def counting(m, other):
+        values.append(kernel(m, other))
+        return values[-1]
+
+    monkeypatch.setattr(crossing, "crossing_number", counting)
+    edges = enumerate_tagged_edges(n)
+    for m in edges:
+        values.clear()
+        assert crossing_row(m, edges) == values and len(values) == len(edges), m
+    values.clear()
+    list(crossing_table(n))
+    assert len(values) == n * n * n
+
+
 def test_streamed_table_matches_json_dumps():
     """``crossings --format json`` writes one row at a time; its bytes are
     those of json.dumps over the whole table (the golden corpus stops at

@@ -385,8 +385,8 @@ def test_pos_bijection_seeded():
 
 def test_tau_periods_seeded():
     """tau^n is the identity for even n; for odd n it negates exactly the
-    central tags, and tau^(2n) is the identity.  tau is iterated here, so
-    the check does not rest on tau_power."""
+    central tags, and tau^(2n) is the identity.  The one-step form tau is
+    iterated here against the k-step form tau_power."""
     rng = random.Random(20240403)
     for m in _random_edges(rng, 400):
         n = m.n
