@@ -26,10 +26,12 @@ reduced basis of path classes), which avoids the exponential path blowup
 on wide strips.  The elimination is :class:`linalg.IntElim`, over plain
 ints: every pivot it meets is -1 or 1, so the matrix stored for each
 arrow holds only the ints -1, 0 and 1, and a pivot of any other value
-raises :class:`MeshClosureError`.  Composition applies the same
-matrices.  The
-test suite certifies the sweep against a literal oracle that enumerates
-every path and subtracts the exact rank of the relations u * m_X * v.
+raises :class:`MeshClosureError`.  A cell's elimination depends only on
+its local problem (the order of its candidate units and the matrices of
+its mesh), so each distinct problem is solved once per process and kept
+by value.  Composition applies the same matrices.  The test suite
+certifies the sweep against a literal oracle that enumerates every path
+and subtracts the exact rank of the relations u * m_X * v.
 
 Hom spaces in the quotient by the full rotation rho (which shifts k by
 one, i.e. columns by n) are direct sums over shifts, and at most one
@@ -122,6 +124,40 @@ _ZERO_SPACE = _Space(0, (), {})
 _MATRICES: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
 
 
+# local problem -> (basis columns, one interned matrix per in-arrow slot);
+# the sweeps of n = 3..40 pose 21 distinct problems
+_SOLVED: dict[tuple, tuple[tuple[int, ...], tuple]] = {}
+
+
+def _solve(x: ZqVertex, units, mesh, slots: int):
+    """The elimination of :class:`HomSweep` at vertex x, from its local
+    problem: ``units`` gives the (in-arrow slot, basis index) of each
+    column, and ``mesh`` the matrix of the arrow from tau x into each
+    slot's in-neighbour, or None when Hom(source, tau x) is zero.  x only
+    names the vertex in a :class:`MeshClosureError`."""
+    total = len(units)
+    elim = IntElim(total)
+    if mesh is not None:
+        for u in range(len(mesh[0])):
+            try:
+                elim.add([mesh[s][u][b] for s, b in units])
+            except PivotError as exc:
+                raise MeshClosureError(
+                    f"mesh relation at vertex {x} has pivot {exc.pivot}, not 1 or -1"
+                ) from None
+    reduced = elim.rows  # pivot column -> row, reduced echelon form
+    # pivots are the rejected paths; the free columns, ascending, are the basis
+    basis = tuple([i for i in reversed(range(total)) if i not in reduced])
+    if not basis:
+        return basis, ()
+    images = [[] for _ in range(slots)]
+    for (s, _), i in sorted(zip(units, range(total))):
+        row = reduced.get(i)
+        image = [int(i == f) for f in basis] if row is None else [-row[f] for f in basis]
+        images[s].append(tuple(image))
+    return basis, tuple([_MATRICES.setdefault(m, m) for m in map(tuple, images)])
+
+
 class HomSweep:
     """Hom spaces out of one source vertex, swept column by column.
 
@@ -147,6 +183,20 @@ class HomSweep:
     free columns.  The elimination is over ints: each pivot must be -1
     or 1, and any other pivot raises :class:`MeshClosureError`, since
     the integrality of the matrices rests on it.
+
+    The paths enter the elimination only through the order of its
+    columns.  So its outcome, the free columns and the matrices, is fixed
+    by the cell's local problem: the column order as (s, b) pairs, with s
+    the index of the in-arrow y among the in-arrows, and the matrices
+    ``maps[tau x]`` of the in-arrows, or None when tau x has zero Hom.
+    Equal local problems give the same rows in the same columns, hence the
+    same elimination.  Each problem is solved once per process, by
+    :func:`_solve` into ``_SOLVED``, keyed by value; every other cell looks
+    its solution up and takes its basis paths from its own candidates.
+    The key holds no path: at most three in-arrows, each of dimension at
+    most two, so the memo does not grow with n.  A cell's ``maps`` is its
+    own dict of interned tuples, so no mutable object is shared through
+    the memo.
     """
 
     def __init__(self, n: int, src_level: int):
@@ -170,37 +220,23 @@ class HomSweep:
         ins = [y for y in zq_in_arrows(self.n, x) if spaces.get(y, _ZERO_SPACE).dim]
         if not ins:
             return _ZERO_SPACE
-        # the units of the incoming sum, by descending path; a key, since comparing
-        # triples first tests the long paths for equality
-        cands = [(p + (x,), y, b) for y in ins for b, p in enumerate(spaces[y].paths)]
+        # the units of the incoming sum by descending path, each with its in-arrow
+        # slot s and basis index b; sorted by a key, since comparing triples
+        # first tests the long paths for equality
+        cands = [
+            (p + (x,), s, b) for s, y in enumerate(ins) for b, p in enumerate(spaces[y].paths)
+        ]
         cands.sort(key=itemgetter(0), reverse=True)
-        total = len(cands)
-        elim = IntElim(total)
         t = zq_tau(x)
-        if spaces.get(t, _ZERO_SPACE).dim:
-            mesh = {y: spaces[y].maps[t] for y in ins}
-            for u in range(spaces[t].dim):
-                try:
-                    elim.add([mesh[y][u][b] for _, y, b in cands])
-                except PivotError as exc:
-                    raise MeshClosureError(
-                        f"mesh relation at vertex {x} has pivot {exc.pivot}, not 1 or -1"
-                    ) from None
-        reduced = elim.rows  # pivot column -> row, reduced echelon form
-        # pivots are the rejected paths; the free columns, ascending, are the basis
-        basis = [i for i in reversed(range(total)) if i not in reduced]
+        mesh = tuple([spaces[y].maps[t] for y in ins]) if spaces.get(t, _ZERO_SPACE).dim else None
+        key = (tuple([(s, b) for _, s, b in cands]), mesh)
+        solved = _SOLVED.get(key)
+        if solved is None:
+            solved = _SOLVED[key] = _solve(x, *key, len(ins))
+        basis, matrices = solved
         if not basis:
             return _ZERO_SPACE
-        images = {y: [None] * spaces[y].dim for y in ins}
-        for i, (_, y, b) in enumerate(cands):
-            row = reduced.get(i)
-            image = [int(i == f) for f in basis] if row is None else [-row[f] for f in basis]
-            images[y][b] = tuple(image)
-        maps = {}
-        for y, rows in images.items():
-            m = tuple(rows)
-            maps[y] = _MATRICES.setdefault(m, m)
-        return _Space(len(basis), tuple([cands[f][0] for f in basis]), maps)
+        return _Space(len(basis), tuple([cands[f][0] for f in basis]), dict(zip(ins, matrices)))
 
     def _walk(
         self, prev: ZqVertex, coords: list[int], steps: tuple[ZqVertex, ...]

@@ -679,6 +679,90 @@ def test_sweep_refuses_a_pivot_outside_plus_minus_one(monkeypatch):
         sweep._compute((1, 1))
 
 
+def _cells(sweep):
+    """Every cell of a sweep's strip with its dimension, basis and maps."""
+    return [(x, sp.dim, sp.paths, dict(sp.maps)) for x, sp in sweep._spaces.items()]
+
+
+class _NoMemo(dict):
+    """A memo that never keeps an entry, so every cell runs its own
+    elimination."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def test_memoised_eliminations_equal_each_cells_own(monkeypatch):
+    """Every sweep for n = 3..14 at every source level is the same whether
+    each cell runs its own elimination, the memo starts empty, or the memo
+    is warm, and every stored matrix is the interned one.  The memo holds
+    local problems, not paths: its size after n = 3..12 is its size after
+    n = 3..24."""
+    sizes = [(n, level) for n in range(3, 15) for level in range(1, n + 1)]
+    monkeypatch.setattr(mesh, "_SOLVED", _NoMemo())
+    own = [_cells(HomSweep(n, level)) for n, level in sizes]
+    assert not mesh._SOLVED
+    monkeypatch.setattr(mesh, "_SOLVED", {})
+    cold = [_cells(HomSweep(n, level)) for n, level in sizes]
+    warm_sweeps = [HomSweep(n, level) for n, level in sizes]
+    assert [_cells(sw) for sw in warm_sweeps] == cold == own
+    for sw in warm_sweeps:
+        for x, sp in sw._spaces.items():
+            for m in sp.maps.values():
+                assert m is mesh._MATRICES[m], (sw.n, sw.src, x)
+
+    monkeypatch.setattr(mesh, "_SOLVED", {})
+    for n in range(3, 25):
+        for level in range(1, n + 1):
+            HomSweep(n, level)
+        if n == 12:
+            at_12 = len(mesh._SOLVED)
+    assert at_12 == len(mesh._SOLVED) == 21
+
+
+def test_a_warm_memo_keeps_the_pivot_check_and_shares_no_maps(monkeypatch):
+    """With the memo holding the uncorrupted problem at (1, 1), the corrupted
+    matrix of the arrow into (0, 2) is a new problem, so the pivot check
+    still runs and names the vertex.  And a cell's maps are its own:
+    mutating every map of one sweep leaves a sweep with the same local
+    problems, built before or after, as it was."""
+    sweep = HomSweep(4, 1)
+    assert (((0, 0),), (((1,),),)) in mesh._SOLVED
+    space = sweep.space((0, 2))
+    assert space.maps == {(0, 1): ((1,),)}
+    monkeypatch.setitem(space.maps, (0, 1), ((2,),))
+    with pytest.raises(MeshClosureError, match=r"vertex \(1, 1\) has pivot 2,"):
+        sweep._compute((1, 1))
+
+    before = HomSweep(6, 2)
+    pinned = _cells(before)
+    mutated = HomSweep(6, 2)
+    for sp in mutated._spaces.values():
+        for y in sp.maps:
+            sp.maps[y] = ((2,),)
+    assert _cells(mutated) != pinned
+    assert _cells(before) == pinned
+    assert _cells(HomSweep(6, 2)) == pinned
+
+
+def test_sweeps_keep_their_digest_at_larger_n():
+    """Pinned bytes of every sweep cell for n = 9..14, past the n = 8 of the
+    basis digest: the sha256 of (cell, dim, paths, maps) over every strip
+    cell of every source level."""
+    digest = hashlib.sha256()
+    for n in range(9, 15):
+        for level in range(1, n + 1):
+            sweep = _sweep(n, level)
+            for c in range(n):
+                for j in range(1, n + 1):
+                    sp = sweep.space((c, j))
+                    cell = ((c, j), sp.dim, sp.paths, sorted(sp.maps.items()))
+                    digest.update(repr(cell).encode())
+    assert digest.hexdigest() == (
+        "fd13376197c3912b2f6914aced05b4c0aae0f10640843b2f8088895010c8cd3d"
+    )
+
+
 def test_sweep_refuses_a_strip_beyond_the_column_limit():
     """n = 2000 is the largest n the mesh engine sweeps; the next is an
     input error, refused before any sweep is built or cached."""
