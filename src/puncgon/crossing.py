@@ -31,10 +31,9 @@ before m's window and ends inside it.
 
 :func:`crossing_number` is the one closed form, and :func:`crossing_row`
 maps it over a row of targets.  The pair is the kernel here, unlike Hom,
-where a pairwise Hom is a row of one (:mod:`puncgon.mesh`): the hot path,
-the per-edge compatibility masks, makes n**2 pair calls per edge, while
-rows serve only the n base rows of :func:`crossing_table` and the
-dimension vectors.
+where a pairwise Hom is a row of one (:mod:`puncgon.mesh`): rows serve
+only the n base rows of :func:`crossing_table` and of the compatibility
+masks, and the dimension vectors.
 
 Turning the polygon by one vertex maps tagged edges to tagged edges,
 keeps every tag, and keeps every crossing number: the closed form reads
@@ -46,6 +45,10 @@ moves every target's start by a, so the row of an edge with start a is
 the row of its class at vertex 0 (same width, same tag) with the plain
 block shifted right by a(n - 2) entries and the central block by 2a.
 So the table needs :func:`crossing_row` only n times, once per class.
+The compatibility masks turn the same way: in the bits of
+:func:`_canonical_bits` the mask of an edge with start a is its class
+mask turned cyclically by a(n - 2) bits in the plain block and by 2a
+bits in the radius block, so all n**2 masks cost n rows.
 """
 
 from __future__ import annotations
@@ -109,6 +112,20 @@ def _canonical_bits(n: int) -> tuple[tuple[TaggedEdge, ...], dict[TaggedEdge, in
 @cache
 def _compat_mask(m: TaggedEdge) -> int:
     """Bits (as in :func:`_canonical_bits`) of every edge that m does not
-    cross, its own bit included; computed once per edge."""
-    edges, bits = _canonical_bits(m.n)
-    return sum(bits[e] for e in edges if crossing_number(m, e) == 0)
+    cross, its own bit included; computed once per edge.  An edge at
+    vertex 0 reads its :func:`crossing_row`; any other edge turns the mask
+    of its class at vertex 0 (see the module docstring)."""
+    n, a = m.n, m.start
+    if not a:
+        edges = _canonical_bits(n)[0]
+        return sum(1 << i for i, c in enumerate(crossing_row(m, edges)) if not c)
+    mask, plain = _compat_mask(TaggedEdge(n, 0, (m.end - a) % n, m.tag)), n * (n - 2)
+    return (
+        _turn(mask & ((1 << plain) - 1), plain, a * (n - 2))
+        | _turn(mask >> plain, 2 * n, 2 * a) << plain
+    )
+
+
+def _turn(bits: int, width: int, k: int) -> int:
+    """A block of ``width`` bits turned cyclically up by 0 < k < width."""
+    return ((bits << k) & ((1 << width) - 1)) | (bits >> (width - k))

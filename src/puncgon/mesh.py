@@ -44,7 +44,12 @@ the sweep is the strip of relative columns 0..n - 1.  That placement rule
 is written once, in :meth:`RowTargets.window`, which maps each target to
 its shift and its cell.  Every Hom reader takes its cell from there: the
 row kernels :func:`hom_row_cluster` and :func:`hom_row_closed_form`,
-whose pair functions are rows of one, and :class:`MorphismSpace`.
+whose pair functions are rows of one, and :class:`MorphismSpace`.  The
+closed form of a cell depends only on the source level, the relative
+column and the level, so :func:`hom_row_closed_form` reads it from a
+table per source level on the :class:`RowTargets`, filled one column at
+a time by the one kernel :func:`_closed_form_cell`: the rows of all
+pairs cost n**3 kernel calls, not n**4.
 
 A Hom element has one form.  A :class:`Morphism` is its tuple of int
 coordinates over the basis paths of its :class:`MorphismSpace`, and
@@ -222,10 +227,10 @@ class HomSweep:
             return _ZERO_SPACE
         # the units of the incoming sum by descending path, each with its in-arrow
         # slot s and basis index b; sorted by a key, since comparing triples
-        # first tests the long paths for equality
-        cands = [
-            (p + (x,), s, b) for s, y in enumerate(ins) for b, p in enumerate(spaces[y].paths)
-        ]
+        # first tests the long paths for equality.  The paths into x all have
+        # one length (ZD_n is graded) and distinct prefixes p, so p orders
+        # them as p + (x,) does, and only the basis paths are extended
+        cands = [(p, s, b) for s, y in enumerate(ins) for b, p in enumerate(spaces[y].paths)]
         cands.sort(key=itemgetter(0), reverse=True)
         t = zq_tau(x)
         mesh = tuple([spaces[y].maps[t] for y in ins]) if spaces.get(t, _ZERO_SPACE).dim else None
@@ -236,7 +241,9 @@ class HomSweep:
         basis, matrices = solved
         if not basis:
             return _ZERO_SPACE
-        return _Space(len(basis), tuple([cands[f][0] for f in basis]), dict(zip(ins, matrices)))
+        return _Space(
+            len(basis), tuple([cands[f][0] + (x,) for f in basis]), dict(zip(ins, matrices))
+        )
 
     def _walk(
         self, prev: ZqVertex, coords: list[int], steps: tuple[ZqVertex, ...]
@@ -312,10 +319,19 @@ class RowTargets:
     ``cells`` holds, per target, its column co and its levels at the
     absolute columns co and co + n.  A plain level is the same at both; a
     fork level follows the parity of the absolute column.  :meth:`window`
-    places them.
+    places them.  ``levels`` is the sorted set of levels the targets
+    occupy at either copy, so every window cell has one of them.
+
+    The closed form of a cell depends only on n, the source level mm, the
+    relative column c and the level j, so the rows of every source at
+    level mm read one table: :meth:`closed_form_columns` maps c to
+    ``{j: _closed_form_cell(n, mm, c + 1, j)}`` over ``levels``, each
+    column filled on the first read of c.  The tables live on the
+    instance and go with it: all pairs cost n**3 kernel calls, and a row
+    of one target at most 2.
     """
 
-    __slots__ = ("n", "cells", "_windows")
+    __slots__ = ("n", "cells", "levels", "_windows", "_columns")
 
     def __init__(self, n: int, edges):
         self.n = n
@@ -329,7 +345,9 @@ class RowTargets:
                 level = grid_level(e)
                 cells.append((co, level, level))
         self.cells = tuple(cells)
+        self.levels = tuple(sorted({j for _, here, next_copy in cells for j in (here, next_copy)}))
         self._windows = {}  # source column -> window, at most n of them
+        self._columns = {}  # source level -> its closed-form columns, at most n of them
 
     def window(self, cm: int) -> tuple[tuple[int, ZqVertex], ...]:
         """Per target, for a source in grid column cm: the one shift k, 0 or
@@ -342,6 +360,31 @@ class RowTargets:
                 win.append((0, (co - cm, here)) if co >= cm else (1, (co - cm + n, next_copy)))
             win = self._windows[cm] = tuple(win)
         return win
+
+    def closed_form_columns(self, mm: int) -> dict[int, dict[int, int]]:
+        """The closed-form table of source level mm: relative column c ->
+        level j -> Hom dimension, for every j in ``levels``."""
+        cols = self._columns.get(mm)
+        if cols is None:
+            cols = self._columns[mm] = _ClosedFormColumns(self.n, mm, self.levels)
+        return cols
+
+
+class _ClosedFormColumns(dict):
+    """Relative column c -> ``{j: _closed_form_cell(n, mm, c + 1, j)}`` over
+    ``levels``, each column computed when it is first looked up.  The
+    kernel is read from the module at fill time."""
+
+    __slots__ = ("n", "mm", "levels")
+
+    def __init__(self, n: int, mm: int, levels: tuple[int, ...]):
+        super().__init__()
+        self.n, self.mm, self.levels = n, mm, levels
+
+    def __missing__(self, c: int) -> dict[int, int]:
+        n, mm = self.n, self.mm
+        col = self[c] = {j: _closed_form_cell(n, mm, c + 1, j) for j in self.levels}
+        return col
 
 
 def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
@@ -356,11 +399,11 @@ def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
 def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
     """Closed-form Hom dimension from m to every target: with m rotated to
     column 1 at level mm and (c, j) the window cell of the target, the
-    value of :func:`_closed_form_cell` at (c + 1, j)."""
+    value of :func:`_closed_form_cell` at (c + 1, j), read from the
+    targets' table of level mm."""
     _require_same_n(m, targets)
-    n, mm = m.n, grid_level(m)
-    cell = _closed_form_cell
-    return [cell(n, mm, c + 1, j) for _, (c, j) in targets.window(grid_column(m))]
+    cols = targets.closed_form_columns(grid_level(m))
+    return [cols[c][j] for _, (c, j) in targets.window(grid_column(m))]
 
 
 # ---------------------------------------------------------------------------

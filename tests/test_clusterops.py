@@ -12,6 +12,7 @@ from puncgon.geometry import (
     grid_level,
     pos_inv,
     tau,
+    tau_power,
 )
 from puncgon.mesh import hom_dim_closed_form, zq_in_arrows
 from puncgon.suites import suite_prop22
@@ -115,6 +116,104 @@ def test_prop22_reports_a_corrupted_closed_form_cell(monkeypatch):
     expected.append(["grid(3,3)", str(pos_inv(n, (1, 3))), 1, 2])
     assert result.details["failures"] == expected
     assert f"{n ** 4} pairs mesh vs closed form, {n + 1} failures" in result.summary
+
+
+@pytest.mark.parametrize("n", range(7, 11))
+def test_prop22_reads_n_cubed_closed_form_cells(monkeypatch, n):
+    """The closed form of a cell depends on the source level, the relative
+    column and the level only: all n**4 pairs read n**3 kernel values, and
+    one ext1_dim reads at most 2."""
+    calls = []
+    kernel = mesh._closed_form_cell
+
+    def counting(*cell):
+        calls.append(cell)
+        return kernel(*cell)
+
+    monkeypatch.setattr(mesh, "_closed_form_cell", counting)
+    assert suite_prop22(n).passed
+    assert len(calls) == n ** 3 and len(set(calls)) == n ** 3
+    edges = enumerate_tagged_edges(n)
+    for m in edges[:: n - 1]:
+        for other in edges:
+            calls.clear()
+            assert ext1_dim(m, other) == crossing_number(m, other)
+            assert 1 <= len(calls) <= 2, (m, other)
+
+
+def _lemma2_pairwise(edges, moves):
+    """The duality failures of ``moves``, one pair at a time."""
+    return [
+        [str(m), str(other)]
+        for m in edges
+        for other in edges
+        if (other in moves(m)) != (m in moves(tau(other)))
+    ]
+
+
+@pytest.mark.parametrize("change", ["added", "dropped"])
+def test_lemma2_reports_exactly_the_pairs_of_a_corrupted_move(monkeypatch, change):
+    """One move of M = 0-3 added (to 1-4) or dropped: the suite names the
+    pairs a pair-by-pair check names, in the same order, two of them."""
+    n, source = 6, TaggedEdge(6, 0, 3)
+    extra = TaggedEdge(6, 1, 4)
+    assert extra not in elementary_moves(source)
+
+    def corrupted(m):
+        moves = elementary_moves(m)
+        if m != source:
+            return moves
+        return moves + [extra] if change == "added" else moves[1:]
+
+    monkeypatch.setattr(suites, "elementary_moves", corrupted)
+    edges = enumerate_tagged_edges(n)
+    expected = _lemma2_pairwise(edges, corrupted)
+    assert len(expected) == 2
+    result = suites.suite_lemma2(n)
+    assert not result.passed
+    assert result.summary == f"{n ** 4} move pairs checked, 2 duality failures"
+    assert result.details == {"failures": expected}
+
+
+def _tau_period_pairwise(n, edges, step):
+    """The period failures with tau taken one ``step`` at a time."""
+    failures = []
+    for m in edges:
+        once = tau_power(m, n)
+        if n % 2 == 0:
+            if once != m:
+                failures.append([str(m), str(once)])
+        else:
+            expect = TaggedEdge(n, m.start, m.end, -m.tag) if m.is_central else m
+            if once != expect or tau_power(m, 2 * n) != m:
+                failures.append([str(m), str(once)])
+        e = m
+        for _ in range(2 * n):
+            e = step(e)
+        if e != tau_power(m, 2 * n):
+            failures.append([str(m), "iterated tau mismatch"])
+    return failures
+
+
+@pytest.mark.parametrize("n, bad", [(6, "2-5"), (7, "3|+")])
+def test_tau_period_reports_exactly_the_orbit_of_a_corrupted_step(monkeypatch, n, bad):
+    """tau corrupted at one edge: every edge whose 2n single steps pass
+    through it fails, and the suite names the edges a step-by-step check
+    names, in the same order."""
+    bad = TaggedEdge.parse(n, bad)
+
+    def corrupted(m):
+        return tau_power(m, 2) if m == bad else tau(m)
+
+    monkeypatch.setattr(suites, "tau", corrupted)
+    edges = enumerate_tagged_edges(n)
+    expected = _tau_period_pairwise(n, edges, corrupted)
+    orbit = {tau_power(bad, k) for k in range(2 * n)}
+    assert [f[0] for f in expected] == [str(m) for m in edges if m in orbit]
+    result = suites.suite_tau_period(n)
+    assert not result.passed
+    assert result.summary == f"{n * n} edges, {len(expected)} period failures"
+    assert result.details == {"failures": expected[:20]}
 
 
 def test_ar_triangles_suite_catches_a_dropped_summand(monkeypatch):

@@ -240,7 +240,7 @@ def test_rejects_mixed_n():
         crossing_number(TaggedEdge(5, 0, 2), TaggedEdge(6, 0, 2))
 
 
-@pytest.mark.parametrize("n", range(3, 10))
+@pytest.mark.parametrize("n", range(3, 17))
 def test_compat_masks_match_crossing_number(n):
     edges = enumerate_tagged_edges(n)
     order, bits = _canonical_bits(n)
@@ -251,3 +251,25 @@ def test_compat_masks_match_crossing_number(n):
         assert mask >> (n * n) == 0
         for i, other in enumerate(edges):
             assert (mask >> i) & 1 == (crossing_number(m, other) == 0), (m, other)
+
+
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_masks_cost_one_crossing_row_per_class(n, monkeypatch):
+    """The masks of all n**2 edges make n**3 pair calls: one row of n**2
+    targets for each of the n classes at vertex 0, every other mask turned
+    from its class's."""
+    calls = []
+    kernel = crossing.crossing_number
+
+    def counting(m, other):
+        calls.append(m)
+        return kernel(m, other)
+
+    monkeypatch.setattr(crossing, "crossing_number", counting)
+    _compat_mask.cache_clear()
+    try:
+        masks = [_compat_mask(m) for m in enumerate_tagged_edges(n)]
+    finally:
+        _compat_mask.cache_clear()
+    assert len(calls) == n * n * n and all(m.start == 0 for m in calls)
+    assert len(set(calls)) == n and len(set(masks)) == n * n

@@ -244,18 +244,13 @@ def _swap(e):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_turning_and_swapping_tags_keep_compatibility(n):
     # the edges compatible with g(e) are the images under g of the edges
-    # compatible with e, for g = rho and g = sigma, read off the masks
-    # through the edge list, not through shifts of the bits
+    # compatible with e, for g = rho and g = sigma, read off crossing_number
+    # pair by pair: the masks are built by this turn, so they cannot prove it
     edges = enumerate_tagged_edges(n)
-
-    def compatible(e):
-        mask = _compat_mask(e)
-        return {f for i, f in enumerate(edges) if mask >> i & 1}
-
+    compatible = {e: {f for f in edges if crossing_number(e, f) == 0} for e in edges}
     for e in edges:
-        seen = compatible(e)
         for g in (_turn, _swap):
-            assert compatible(g(e)) == {g(f) for f in seen}, (str(e), g.__name__)
+            assert compatible[g(e)] == {g(f) for f in compatible[e]}, (str(e), g.__name__)
 
 
 def test_lemma3_passes_at_its_default_bound():
