@@ -6,6 +6,8 @@ from .geometry import (
     TaggedEdge,
     ccw_neighbor,
     delta_len,
+    edge_index,
+    edge_of_index,
     edge_sort_key,
     elementary_moves,
     enumerate_tagged_edges,

@@ -45,10 +45,12 @@ moves every target's start by a, so the row of an edge with start a is
 the row of its class at vertex 0 (same width, same tag) with the plain
 block shifted right by a(n - 2) entries and the central block by 2a.
 So the table needs :func:`crossing_row` only n times, once per class.
-The compatibility masks turn the same way: in the bits of
-:func:`_canonical_bits` the mask of an edge with start a is its class
-mask turned cyclically by a(n - 2) bits in the plain block and by 2a
-bits in the radius block, so all n**2 masks cost n rows.
+The compatibility masks turn the same way: over the canonical indices
+of :mod:`puncgon.geometry` the mask of an edge with start a is its
+class mask turned cyclically by a(n - 2) bits in the plain block and by
+2a bits in the radius block, so all n**2 masks cost n rows.  The n
+class masks of each n (n**3 bits) and the masks turned from them are
+cached; no table of the edges or of their bits is.
 """
 
 from __future__ import annotations
@@ -102,24 +104,27 @@ def crossing_table(n: int):
 
 
 @cache
-def _canonical_bits(n: int) -> tuple[tuple[TaggedEdge, ...], dict[TaggedEdge, int]]:
-    """The edges of :func:`enumerate_tagged_edges` and the bit of each:
-    the i-th edge owns bit 1 << i."""
-    edges = tuple(enumerate_tagged_edges(n))
-    return edges, {e: 1 << i for i, e in enumerate(edges)}
+def _class_masks(n: int) -> dict[tuple[int, int], int]:
+    """The compatibility mask of each class, keyed by (width, tag): of its
+    edge at vertex 0, bit i set iff that edge does not cross the edge at
+    canonical index i (see :mod:`puncgon.geometry`), its own bit included.
+    One :func:`crossing_row` over one edge list for each of the n classes."""
+    edges = enumerate_tagged_edges(n)
+    return {
+        (m.end, m.tag): sum(1 << i for i, c in enumerate(crossing_row(m, edges)) if not c)
+        for m in edges
+        if not m.start
+    }
 
 
 @cache
 def _compat_mask(m: TaggedEdge) -> int:
-    """Bits (as in :func:`_canonical_bits`) of every edge that m does not
-    cross, its own bit included; computed once per edge.  An edge at
-    vertex 0 reads its :func:`crossing_row`; any other edge turns the mask
-    of its class at vertex 0 (see the module docstring)."""
+    """Bits of every edge that m does not cross, as in :func:`_class_masks`:
+    the mask of m's class turned by m's start (see the module docstring).
+    Cached per edge, since a flip walk asks for each member's mask again
+    at every step."""
     n, a = m.n, m.start
-    if not a:
-        edges = _canonical_bits(n)[0]
-        return sum(1 << i for i, c in enumerate(crossing_row(m, edges)) if not c)
-    mask, plain = _compat_mask(TaggedEdge(n, 0, (m.end - a) % n, m.tag)), n * (n - 2)
+    mask, plain = _class_masks(n)[(m.end - a) % n, m.tag], n * (n - 2)
     return (
         _turn(mask & ((1 << plain) - 1), plain, a * (n - 2))
         | _turn(mask >> plain, 2 * n, 2 * a) << plain
@@ -127,5 +132,6 @@ def _compat_mask(m: TaggedEdge) -> int:
 
 
 def _turn(bits: int, width: int, k: int) -> int:
-    """A block of ``width`` bits turned cyclically up by 0 < k < width."""
-    return ((bits << k) & ((1 << width) - 1)) | (bits >> (width - k))
+    """A block of ``width`` bits turned cyclically up by 0 <= k < width."""
+    high = bits >> (width - k)  # the bits that wrap round
+    return (bits << k) ^ (high << width) | high

@@ -8,6 +8,17 @@ counterclockwise boundary path from a to b), while each vertex a carries
 the two *central* edges a|+ and a|- running from a to the puncture.  For
 fixed n there are exactly n**2 tagged edges.
 
+The canonical order lists the plain edges by (start, span), then the
+central edges by (vertex, tag with + first).  So each position is a
+formula, which :func:`edge_index` states and :func:`edge_of_index`
+inverts:
+
+  plain a-b of span s    a(n - 2) + s - 3        (0 .. n(n - 2) - 1)
+  central a|+ and a|-    n(n - 2) + 2a, plus 1   (n(n - 2) .. n**2 - 1)
+
+Every edge list, table row and member bitset of the package follows
+this order: bit i of a bitset stands for the edge at index i.
+
 Construction of a :class:`TaggedEdge` enforces four validity conditions,
 reported by code on failure:
 
@@ -67,11 +78,14 @@ def delta_len(n: int, a: Vertex, b: Vertex) -> int:
     return ((b - a - 1) % n) + 2
 
 
-def _require_int_n(n) -> None:
-    """Refuse a polygon size that is not an int, or is a bool.  Runs before
-    any cache keyed on n is read, since 5.0 == 5 and True == 1."""
+def _require_polygon(n) -> None:
+    """Refuse a polygon size that is not an int, or is a bool, or is below
+    3.  Runs before any cache keyed on n is read, since 5.0 == 5 and
+    True == 1."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"polygon size must be an integer, got n={n!r}")
+    if n < 3:
+        raise ValueError(f"polygon size must be >= 3, got n={n}")
 
 
 def _validate(n: int, start: Vertex, end: Vertex, tag: int) -> None:
@@ -175,28 +189,34 @@ def _require_same_n(m: TaggedEdge, other: TaggedEdge):
         raise ValueError(f"edges built for different polygons: n={m.n} vs n={other.n}")
 
 
-def edge_sort_key(e: TaggedEdge):
-    """Canonical order: plain edges by (start, span), then central edges
-    by (vertex, tag with + first)."""
-    if e.is_central:
-        return (1, e.start, 0 if e.tag == 1 else 1)
-    return (0, e.start, e.span)
+def edge_index(e: TaggedEdge) -> int:
+    """Position of e in the canonical order (see the module docstring)."""
+    n = e.n
+    if e.start == e.end:
+        return n * (n - 2) + 2 * e.start + (e.tag == -1)
+    return e.start * (n - 2) + (e.end - e.start - 2) % n  # span - 3
+
+
+# The canonical order is the order of the indices.
+edge_sort_key = edge_index
+
+
+def edge_of_index(n: int, i: int) -> TaggedEdge:
+    """The edge at position i of the canonical order: the inverse of
+    :func:`edge_index`.  An i outside 0..n**2 - 1 decodes to a vertex
+    outside the polygon, which construction refuses (E1)."""
+    plain = n * (n - 2)
+    if i < plain:
+        a, k = divmod(i, n - 2)
+        return TaggedEdge(n, a, (a + k + 2) % n, 1)
+    a, minus = divmod(i - plain, 2)
+    return TaggedEdge(n, a, a, -1 if minus else 1)
 
 
 def enumerate_tagged_edges(n: int) -> list[TaggedEdge]:
-    """All n**2 tagged edges, in the canonical order of :func:`edge_sort_key`,
-    which the two loops emit as they go."""
-    _require_int_n(n)
-    if n < 3:
-        raise ValueError(f"polygon size must be >= 3, got n={n}")
-    out = []
-    for a in range(n):
-        for span in range(3, n + 1):
-            out.append(TaggedEdge(n, a, (a + span - 1) % n, 1))
-    for a in range(n):
-        out.append(TaggedEdge.central(n, a, 1))
-        out.append(TaggedEdge.central(n, a, -1))
-    return out
+    """All n**2 tagged edges, in the canonical order."""
+    _require_polygon(n)
+    return [edge_of_index(n, i) for i in range(n * n)]
 
 
 def elementary_moves(m: TaggedEdge) -> list[TaggedEdge]:

@@ -2,14 +2,15 @@
 tagged edges, fans, flips, exchange factors, and endomorphism quivers.
 
 Every compatibility decision here (validation, flips, enumeration) reads
-one cached bitmask per edge from :mod:`crossing`: bit i is set iff the
-edge does not cross the i-th edge of the canonical order.  The laws of
+one bitmask per edge from :mod:`crossing`: bit i is set iff the edge
+does not cross the edge at canonical index i.  The index formula of
+:mod:`geometry` also encodes and decodes every member.  The laws of
 the paper (|T| = n, a flip pair crosses once, at most three exchange
 factors a side and none exactly in the translate case, End(a) = 1) are
 proven in tests/test_triangulations.py, not re-checked on every call.
 
 :func:`maximal_noncrossing_sets` returns each maximal set as the int
-bitset of its members over those canonical bits.  It searches only the
+bitset of its members over those canonical indices.  It searches only the
 sets through the radius ``0|+`` and turns and tag-swaps them into the
 rest.  The two facts that rests on (both maps keep every compatibility
 mask, and every maximal set has a radius) are proven in the tests.
@@ -27,8 +28,9 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .crossing import _canonical_bits, _compat_mask, crossing_number
-from .geometry import _EDGES, TaggedEdge, _require_int_n, edge_sort_key
+from .crossing import _compat_mask, _turn, crossing_number
+from .geometry import _EDGES, TaggedEdge, _require_polygon, edge_index
+from .geometry import edge_of_index, enumerate_tagged_edges
 from .record import Record
 
 DEFAULT_ENUMERATION_BOUND = 6
@@ -44,11 +46,12 @@ class Triangulation(Record):
 
     Has exactly n elements (proven in ``test_counts_against_formula``,
     not counted here); an edge listed twice is rejected, as is an n that
-    is not an int.  Every construction validates with one walk over the
-    members' bitset in canonical order, which is also the order the edges
-    are stored in: the first crossing pair in that order is reported, and
-    the set is maximal iff the AND of the member masks is the members'
-    own bits.  The bitset stays on the instance as ``_members``; it is
+    is not an int or is below 3.  Every construction looks each member up
+    in the edge table once, for its bit in the members' bitset, then
+    validates with one walk over the members in canonical order, which
+    is also the order the edges are stored in: the first crossing pair in
+    that order is reported, and the set is maximal iff the AND of the
+    member masks is the members' own bits.  The bitset stays on the instance as ``_members``; it is
     not a field, so ``==``, ``hash`` and ``repr`` read only n and the
     edges.
     """
@@ -62,33 +65,25 @@ class Triangulation(Record):
 
     def __post_init__(self):
         n = self.n
-        _require_int_n(n)
-        # below n = 3 there are no edges, so every listed edge is foreign
-        order, bits = _canonical_bits(n) if n >= 3 else ((), {})
+        _require_polygon(n)
         try:
             given, members = tuple(self.edges), 0
         except TypeError:
             raise ValueError(f"edges must be an iterable of edges, got {self.edges!r}") from None
-        try:
-            for e in given:
-                bit = bits.get(e, 0)
-                if not bit or members & bit:
-                    _reject_listing(n, given)
-                members |= bit
-        except TypeError:  # an unhashable member
-            _reject_listing(n, given)
-        edges, common, rest = [], -1, members
-        while rest:
-            low = rest & -rest
-            a = order[low.bit_length() - 1]
+        for e in given:
+            bit = _bit(n, e)
+            if not bit or members & bit:
+                _reject_listing(n, given)
+            members |= bit
+        edges, common = sorted(given, key=edge_index), -1
+        for a in edges:
             mask = _compat_mask(a)
-            crossed = rest & ~mask  # later members a crosses
+            # later members a crosses; an earlier one it crosses crossed it first
+            crossed = members & ~mask
             if crossed:
                 b = _lowest_edge(n, crossed)
                 raise ValueError(f"edges {a} and {b} cross (e={crossing_number(a, b)})")
             common &= mask
-            edges.append(a)
-            rest ^= low
         missing = common & ~members
         if missing:
             e = _lowest_edge(n, missing)
@@ -111,10 +106,7 @@ class Triangulation(Record):
         return cls(n, edges)
 
     def __contains__(self, e: TaggedEdge) -> bool:
-        try:
-            return bool(self._members & _canonical_bits(self.n)[1].get(e, 0))
-        except TypeError:  # an unhashable is no member
-            return False
+        return bool(self._members & _bit(self.n, e))
 
     def __iter__(self):
         return iter(self.edges)
@@ -131,15 +123,15 @@ class Triangulation(Record):
 def _reject_listing(n: int, edges) -> None:
     """Raise for the first listed member that is not an interned edge; or
     else for an edge listed twice, or else for an edge of another polygon,
-    naming the first such edge in :func:`edge_sort_key` order."""
+    naming the first such edge in canonical order."""
     for i, e in enumerate(edges):
         if not _is_edge(e):
             raise ValueError(f"member {i} is not an edge of the {n}-gon: {_describe(e)}")
     counts = Counter(edges)
     twice = [e for e in edges if counts[e] > 1]
     if twice:
-        raise ValueError(f"edge {min(twice, key=edge_sort_key)} is listed more than once")
-    e = min((e for e in edges if e.n != n), key=edge_sort_key)
+        raise ValueError(f"edge {min(twice, key=edge_index)} is listed more than once")
+    e = min((e for e in edges if e.n != n), key=edge_index)
     raise ValueError(f"edge {e} belongs to n={e.n}, not n={n}")
 
 
@@ -154,10 +146,20 @@ def _reject_member(n: int, e) -> None:
     raise ValueError(f"edge {e} is not in the triangulation")
 
 
+def _bit(n: int, e) -> int:
+    """``1 << edge_index(e)`` for an interned edge of the n-gon, else 0:
+    one lookup in the edge table."""
+    try:
+        if _EDGES.get((n, e.start, e.end, e.tag)) is e:
+            return 1 << edge_index(e)
+    except (AttributeError, TypeError):  # no edge fields, or unhashable ones
+        pass
+    return 0
+
+
 def _is_edge(e) -> bool:
-    """Whether ``e`` is an interned :class:`TaggedEdge`."""
-    fields = tuple(getattr(e, f, None) for f in ("n", "start", "end", "tag"))
-    return isinstance(e, TaggedEdge) and _EDGES.get(fields) is e
+    """Whether ``e`` is an interned :class:`TaggedEdge`, of any polygon."""
+    return bool(_bit(getattr(e, "n", None), e))
 
 
 def _describe(e) -> str:
@@ -175,7 +177,7 @@ def _common(edges) -> int:
 
 def _lowest_edge(n: int, bitset: int) -> TaggedEdge:
     """The canonically first edge of a nonempty bitset."""
-    return _canonical_bits(n)[0][(bitset & -bitset).bit_length() - 1]
+    return edge_of_index(n, (bitset & -bitset).bit_length() - 1)
 
 
 def fan_triangulation(n: int, base: int = 0) -> Triangulation:
@@ -187,8 +189,8 @@ def fan_triangulation(n: int, base: int = 0) -> Triangulation:
 
 def maximal_noncrossing_sets(n: int) -> list[int]:
     """Every maximal pairwise non-crossing set, of whatever size, as the
-    int bitset of its members (bit i for the i-th edge of
-    :func:`enumerate_tagged_edges`, as in ``Triangulation._members``), in
+    int bitset of its members (bit i for the edge at canonical index i,
+    as in ``Triangulation._members``), in
     ascending order of those ints.  :func:`_indices` decodes a set into
     the increasing tuple of its indices.
 
@@ -208,15 +210,10 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
     map each edge's compatibility mask to its image's mask (n = 3..16),
     and every maximal set has a radius (n = 3..10).
     """
-    _require_int_n(n)
-    edges = _canonical_bits(n)[0]
-    nbrs = [_compat_mask(e) & ~(1 << i) for i, e in enumerate(edges)]
+    nbrs = [_compat_mask(e) & ~(1 << i) for i, e in enumerate(enumerate_tagged_edges(n))]
     plain, step = n * (n - 2), n - 2
     plain_bits = (1 << plain) - 1
     plus = sum(1 << (plain + 2 * a) for a in range(n))  # the bits of the a|+
-
-    def turn_plain(bits: int) -> int:  # rho on the plain block
-        return ((bits << step) & plain_bits) | (bits >> (plain - step))
 
     out: list[int] = []
     emit = out.append
@@ -230,7 +227,7 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
             emit(rest | radii << 2 * k)
             if swapped:
                 emit(rest | swapped << 2 * k)
-            rest = turn_plain(rest)
+            rest = _turn(rest, plain, step)  # rho on the plain block
     out.sort()
     return out
 
@@ -323,7 +320,7 @@ def _triangulation_indices(n: int, max_n: int) -> list[tuple[int, ...]]:
     in :func:`enumerate_tagged_edges`, in lexicographic order.  The search
     is exponential; n above ``max_n`` is refused unless the bound is
     raised."""
-    _require_int_n(n)
+    _require_polygon(n)
     _require_bound(n, max_n)
     return sorted(map(_indices, maximal_noncrossing_sets(n)))
 
@@ -333,8 +330,7 @@ def enumerate_triangulations(
 ) -> list[Triangulation]:
     """All triangulations, in the order of :func:`_triangulation_indices`."""
     sets = _triangulation_indices(n, max_n)
-    edges = _canonical_bits(n)[0]
-    return [Triangulation(n, tuple(edges[i] for i in s)) for s in sets]
+    return [Triangulation(n, tuple(edge_of_index(n, i) for i in s)) for s in sets]
 
 
 def flip(t: Triangulation, m: TaggedEdge) -> tuple[Triangulation, TaggedEdge]:

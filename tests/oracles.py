@@ -84,6 +84,16 @@ def lift_scan_crossing(m: TaggedEdge, other: TaggedEdge, width: int = 6) -> int:
     return hits
 
 
+def two_loop_edge_order(n: int) -> list[TaggedEdge]:
+    """The canonical edge order written as two loops, apart from the index
+    formula: the plain edges by start vertex and then by span 3..n, then
+    the two radii of each vertex, plus tag first."""
+    out = [TaggedEdge(n, a, (a + span - 1) % n, 1) for a in range(n) for span in range(3, n + 1)]
+    for a in range(n):
+        out += [TaggedEdge.central(n, a, 1), TaggedEdge.central(n, a, -1)]
+    return out
+
+
 def lowest_first_maximal_sets(n: int) -> list[tuple[int, ...]]:
     """Every maximal non-crossing set, as the increasing tuple of its
     indices into :func:`enumerate_tagged_edges`, by unpivoted Bron-Kerbosch

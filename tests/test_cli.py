@@ -168,6 +168,12 @@ def test_triangulations_bound(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("command", ["edges", "triangulations", "verify"])
+def test_polygon_size_below_three_is_one_error_line(capsys, command):
+    message = "error: polygon size must be >= 3, got n=2\n"
+    assert run(capsys, command, "--n", "2") == (2, "", message)
+
+
 def test_verify_lemma3_bound(capsys):
     # refused before the search starts: exit 2, nothing on stdout
     for argv in (("--n", "11"), ("--n", "4", "--max-enum", "3")):

@@ -8,13 +8,13 @@ import pytest
 from puncgon.cli import main
 from puncgon import crossing
 from puncgon.crossing import (
-    _canonical_bits,
+    _class_masks,
     _compat_mask,
     crossing_number,
     crossing_row,
     crossing_table,
 )
-from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
+from puncgon.geometry import TaggedEdge, edge_index, enumerate_tagged_edges
 
 from oracles import lift_scan_crossing, n3_case_rule_crossing
 
@@ -242,22 +242,21 @@ def test_rejects_mixed_n():
 
 @pytest.mark.parametrize("n", range(3, 17))
 def test_compat_masks_match_crossing_number(n):
+    # the mask of m has the bit of each edge at that edge's canonical index
     edges = enumerate_tagged_edges(n)
-    order, bits = _canonical_bits(n)
-    assert list(order) == edges
-    assert [bits[e] for e in edges] == [1 << i for i in range(n * n)]
     for m in edges:
         mask = _compat_mask(m)
         assert mask >> (n * n) == 0
-        for i, other in enumerate(edges):
-            assert (mask >> i) & 1 == (crossing_number(m, other) == 0), (m, other)
+        for other in edges:
+            bit = (mask >> edge_index(other)) & 1
+            assert bit == (crossing_number(m, other) == 0), (m, other)
 
 
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_masks_cost_one_crossing_row_per_class(n, monkeypatch):
     """The masks of all n**2 edges make n**3 pair calls: one row of n**2
     targets for each of the n classes at vertex 0, every other mask turned
-    from its class's."""
+    from its class's.  Asking again makes none: the class masks are kept."""
     calls = []
     kernel = crossing.crossing_number
 
@@ -266,10 +265,15 @@ def test_masks_cost_one_crossing_row_per_class(n, monkeypatch):
         return kernel(m, other)
 
     monkeypatch.setattr(crossing, "crossing_number", counting)
-    _compat_mask.cache_clear()
+    caches = (_class_masks, _compat_mask)
+    for c in caches:
+        c.cache_clear()
     try:
         masks = [_compat_mask(m) for m in enumerate_tagged_edges(n)]
+        _compat_mask.cache_clear()  # the class masks alone serve every edge again
+        assert [_compat_mask(m) for m in enumerate_tagged_edges(n)] == masks
     finally:
-        _compat_mask.cache_clear()
+        for c in caches:
+            c.cache_clear()
     assert len(calls) == n * n * n and all(m.start == 0 for m in calls)
     assert len(set(calls)) == n and len(set(masks)) == n * n

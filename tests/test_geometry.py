@@ -11,6 +11,8 @@ from puncgon.geometry import (
     TaggedEdge,
     delta_len,
     edge_at,
+    edge_index,
+    edge_of_index,
     edge_sort_key,
     elementary_moves,
     enumerate_tagged_edges,
@@ -19,6 +21,8 @@ from puncgon.geometry import (
     tau,
     tau_power,
 )
+
+from oracles import two_loop_edge_order
 
 
 def test_delta_len_examples():
@@ -56,17 +60,37 @@ def test_enumeration_split_n4():
 
 
 def test_enumeration_order_is_canonical():
+    rng = random.Random(31)
     for n in range(3, 13):
         edges = enumerate_tagged_edges(n)
-        assert edges == sorted(edges, key=edge_sort_key), n
+        assert edges == two_loop_edge_order(n), n
+        shuffled = rng.sample(edges, len(edges))
+        assert sorted(shuffled, key=edge_sort_key) == edges, n
         assert str(edges[0]) == "0-2"
         # central edges come last, plus tag before minus
         assert str(edges[-2]) == f"{n - 1}|+" and str(edges[-1]) == f"{n - 1}|-"
 
 
+@pytest.mark.parametrize("n", range(3, 41))
+def test_edge_index_formula_matches_the_two_loop_order(n):
+    # the index formula and its inverse agree with the order written as
+    # loops, and each undoes the other
+    for i, e in enumerate(two_loop_edge_order(n)):
+        assert edge_index(e) == i, (n, str(e))
+        assert edge_of_index(n, i) is e, (n, i)
+
+
+@pytest.mark.parametrize("i", [-1, -16, 25, 26, 40])
+def test_edge_of_index_refuses_an_index_outside_the_order(i):
+    with pytest.raises(InvalidEdgeError, match="vertices must lie in 0..4") as info:
+        edge_of_index(5, i)
+    assert info.value.code == "E1"
+
+
 def test_enumeration_rejects_small_n():
-    with pytest.raises(ValueError):
-        enumerate_tagged_edges(2)
+    for n in (2, 1, 0, -1):
+        with pytest.raises(ValueError, match=rf"^polygon size must be >= 3, got n={n}$"):
+            enumerate_tagged_edges(n)
 
 
 def test_validation_codes():

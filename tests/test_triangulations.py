@@ -6,8 +6,8 @@ from math import comb
 
 import pytest
 
-from puncgon.crossing import _canonical_bits, _compat_mask, crossing_number, crossing_table
-from puncgon.geometry import TaggedEdge, enumerate_tagged_edges, tau
+from puncgon.crossing import _compat_mask, crossing_number, crossing_table
+from puncgon.geometry import TaggedEdge, edge_index, enumerate_tagged_edges, tau
 from puncgon import suites, triangulation
 from puncgon.linalg import FractionElim, IntElim
 from puncgon.suites import suite_lemma3
@@ -121,6 +121,21 @@ def test_polygon_size_that_is_not_an_int_rejected(n):
         with pytest.raises(ValueError) as info:
             call(n)
         assert str(info.value) == f"polygon size must be an integer, got n={n!r}"
+
+
+@pytest.mark.parametrize("n", [2, 1, 0, -1])
+def test_polygon_size_below_three_rejected(n):
+    """Below n = 3 there are no edges, so the size itself is refused, ahead
+    of any listed member."""
+    calls = [
+        lambda k: Triangulation(k, ()),
+        lambda k: Triangulation(k, (TaggedEdge(5, 0, 2),)),
+        maximal_noncrossing_sets,
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(n)
+        assert str(info.value) == f"polygon size must be >= 3, got n={n}"
 
 
 def test_foreign_edge_rejected():
@@ -452,11 +467,12 @@ def test_flip_refuses_other_than_one_completion(monkeypatch, extra, count):
     t = fan_triangulation(5, 0)
     m = t.edges[0]
     _, new = flip(t, m)
-    bits = triangulation._canonical_bits(5)[1]
     spare = next(e for e in enumerate_tagged_edges(5) if e not in t.edges and e != new)
     common = triangulation._common
     monkeypatch.setattr(
-        triangulation, "_common", lambda edges: common(edges) | bits[spare] if extra else 0
+        triangulation,
+        "_common",
+        lambda edges: common(edges) | 1 << edge_index(spare) if extra else 0,
     )
     with pytest.raises(ExchangeError, match=f"has {count} completions, expected 1"):
         flip(t, m)
