@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 
@@ -156,6 +155,8 @@ def cmd_hom(args) -> int:
 
 
 def cmd_ext(args) -> int:
+    import json  # only ext prints compact JSON; the rest goes through render.write_json
+
     src = TaggedEdge.parse(args.n, args.source)
     tgt = TaggedEdge.parse(args.n, args.target)
     val = ext1_dim(src, tgt, method=args.method)
@@ -252,7 +253,6 @@ def cmd_report(args) -> int:
     maxlen = args.maxlen if args.maxlen is not None else args.n
     vanishing = vanishing_paths_report(t, maxlen)
     quiver = vanishing.quiver
-    names = vanishing.names
     shown = quiver.transposed() if args.no_op else quiver
     tilted = ar_quiver_of_tilted(t)
     if args.format == "dot":
@@ -264,21 +264,15 @@ def cmd_report(args) -> int:
             "n": args.n,
             "T": [str(e) for e in t.edges],
             "quiver": render.quiver_json(shown, t),
-            "vanishing_paths": [
-                {
-                    "path": e.path_string(names),
-                    "zero": e.is_zero,
-                }
-                for e in vanishing.entries
-            ],
+            "vanishing_paths": render.vanishing_paths_json(vanishing, "\n  "),
             "boundary_note": "factors on boundary segments contribute 1",
-            "modules": render.ar_quiver_json(tilted),
+            "modules": render.ar_quiver_json(tilted, "\n  "),
         })
         return 0
     print(f"triangulation T = {t}")
     print("endomorphism quiver" + (" (op transposed)" if args.no_op else "") + ":")
     print(render.quiver_text(shown))
-    zero = vanishing.zero_paths()
+    zero, names = vanishing.zero_paths(), vanishing.names
     print(f"vanishing arrow paths up to length {maxlen}: {len(zero)}")
     for e in zero:
         print(f"  0 = {e.path_string(names)}")

@@ -324,14 +324,14 @@ class RowTargets:
 
     The closed form of a cell depends only on n, the source level mm, the
     relative column c and the level j, so the rows of every source at
-    level mm read one table: :meth:`closed_form_columns` maps c to
-    ``{j: _closed_form_cell(n, mm, c + 1, j)}`` over ``levels``, each
-    column filled on the first read of c.  The tables live on the
-    instance and go with it: all pairs cost n**3 kernel calls, and a row
-    of one target at most 2.
+    level mm read one table: :meth:`closed_form_columns` lists
+    ``{j: _closed_form_cell(n, mm, c + 1, j)}`` over ``levels`` at index
+    c, each column filled on the first read of a window that needs it.
+    The tables live on the instance and go with it: all pairs cost n**3
+    kernel calls, and a row of one target at most 2.
     """
 
-    __slots__ = ("n", "cells", "levels", "_windows", "_columns")
+    __slots__ = ("n", "cells", "levels", "_grid_columns", "_windows", "_columns")
 
     def __init__(self, n: int, edges):
         self.n = n
@@ -346,6 +346,7 @@ class RowTargets:
                 cells.append((co, level, level))
         self.cells = tuple(cells)
         self.levels = tuple(sorted({j for _, here, next_copy in cells for j in (here, next_copy)}))
+        self._grid_columns = tuple({co for co, _, _ in cells})  # the targets', each once
         self._windows = {}  # source column -> window, at most n of them
         self._columns = {}  # source level -> its closed-form columns, at most n of them
 
@@ -361,30 +362,19 @@ class RowTargets:
             win = self._windows[cm] = tuple(win)
         return win
 
-    def closed_form_columns(self, mm: int) -> dict[int, dict[int, int]]:
-        """The closed-form table of source level mm: relative column c ->
-        level j -> Hom dimension, for every j in ``levels``."""
-        cols = self._columns.get(mm)
+    def closed_form_columns(self, mm: int, cm: int) -> list[dict[int, int] | None]:
+        """The closed-form table of source level mm: at relative column c,
+        level j -> Hom dimension for every j in ``levels``, or None for a
+        column not yet read.  Every column that the window of a source in
+        grid column cm reads is filled."""
+        n, cols = self.n, self._columns.get(mm)
         if cols is None:
-            cols = self._columns[mm] = _ClosedFormColumns(self.n, mm, self.levels)
+            cols = self._columns[mm] = [None] * n
+        for co in self._grid_columns:
+            c = (co - cm) % n
+            if cols[c] is None:
+                cols[c] = {j: _closed_form_cell(n, mm, c + 1, j) for j in self.levels}
         return cols
-
-
-class _ClosedFormColumns(dict):
-    """Relative column c -> ``{j: _closed_form_cell(n, mm, c + 1, j)}`` over
-    ``levels``, each column computed when it is first looked up.  The
-    kernel is read from the module at fill time."""
-
-    __slots__ = ("n", "mm", "levels")
-
-    def __init__(self, n: int, mm: int, levels: tuple[int, ...]):
-        super().__init__()
-        self.n, self.mm, self.levels = n, mm, levels
-
-    def __missing__(self, c: int) -> dict[int, int]:
-        n, mm = self.n, self.mm
-        col = self[c] = {j: _closed_form_cell(n, mm, c + 1, j) for j in self.levels}
-        return col
 
 
 def hom_row_cluster(m: TaggedEdge, targets: RowTargets) -> list[int]:
@@ -402,8 +392,9 @@ def hom_row_closed_form(m: TaggedEdge, targets: RowTargets) -> list[int]:
     value of :func:`_closed_form_cell` at (c + 1, j), read from the
     targets' table of level mm."""
     _require_same_n(m, targets)
-    cols = targets.closed_form_columns(grid_level(m))
-    return [cols[c][j] for _, (c, j) in targets.window(grid_column(m))]
+    cm = grid_column(m)
+    cols = targets.closed_form_columns(grid_level(m), cm)
+    return [cols[c][j] for _, (c, j) in targets.window(cm)]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,20 @@
 ``ext`` prints compact one-line JSON with ``json.dumps``; every other
 ``--format json`` goes through :func:`write_json`, which writes the bytes
 of ``json.dumps(obj, indent=2)`` piece by piece (with ``indent`` set,
-``json`` falls back to its pure-Python encoder), and ``crossings`` writes
-its matrix one row at a time with :func:`write_crossing_json`; the text
-table streams the same way through :func:`write_crossing_text`.  Both
-crossing writers join each row from the three digit strings of
-``_DIGITS`` rather than formatting every int, so an entry outside
-{0, 1, 2} raises ``KeyError`` instead of being written.
+``json`` falls back to its pure-Python encoder).  Its ``_write`` is the
+general path, one value at a time.  The hottest lists are written by
+shape instead, one template per item, into an :class:`Encoded` list of
+item texts that ``_write`` writes as they are: the ``vanishing_paths`` of
+``report`` (:func:`vanishing_paths_json`) and the ``vertices``,
+``arrows`` and ``tau`` of an ar-quiver object (:func:`ar_quiver_json`).
+Each is encoded for the indent of its place.  The items are written one
+at a time, not joined, so no list's whole text is held twice.
+``crossings`` writes its matrix one row at a time with
+:func:`write_crossing_json`; the text table streams the same way through
+:func:`write_crossing_text`.  Both crossing writers join each row from
+the three digit strings of ``_DIGITS`` rather than formatting every int,
+so an entry outside {0, 1, 2} raises ``KeyError`` instead of being
+written.
 
 JSON schemas (stable, documented in the README):
 
@@ -21,6 +29,8 @@ JSON schemas (stable, documented in the README):
   ar-quiver  {"n", "T": [str] | null,
               "vertices": [{"edge", "dimvec" | null}],
               "arrows": [[from, to]], "tau": [[from, to]]}
+  report     {"n", "T", "quiver", "vanishing_paths": [{"path", "zero"}],
+              "boundary_note", "modules": ar-quiver}
 
 Both AR quivers are one :class:`tilted.ArQuiver`, so each ar-quiver
 format has one writer, whether or not the quiver has a T.
@@ -28,11 +38,14 @@ format has one writer, whether or not the quiver has a T.
 
 from __future__ import annotations
 
-from json.encoder import encode_basestring_ascii as _quote
+try:  # the C encoder itself, without importing the json package
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
 
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
 from .mesh import MorphismSpace, RowTargets, hom_dim_closed_form, hom_row_closed_form
-from .tilted import ArQuiver, loewy_string
+from .tilted import ArQuiver, VanishingReport, loewy_string
 from .triangulation import QuiverPresentation, Triangulation
 
 
@@ -40,10 +53,18 @@ def write_json(obj, write) -> None:
     """Write ``json.dumps(obj, indent=2)`` through ``write``, in pieces.
 
     Only the CLI's shapes are accepted: dicts with str keys, lists and
-    tuples, str, int, bool and None.  Anything else, floats and
+    tuples, str, int, bool and None, and :class:`Encoded` lists, whose
+    items are written as they are.  Anything else, floats and
     ``Fraction`` included, raises ``TypeError``.
     """
     _write(obj, write, "\n")
+
+
+class Encoded(list):
+    """A JSON list whose items are JSON text, each encoded for the indent
+    of its place, which ``_write`` writes as they are, one at a time."""
+
+    __slots__ = ()
 
 
 def _write(obj, write, nl: str) -> None:
@@ -86,6 +107,15 @@ def _write(obj, write, nl: str) -> None:
                 _write(value, write, inner)
                 sep = "," + inner
             write(nl + "]")
+    elif kind is Encoded:
+        if not obj:
+            write("[]")
+            return
+        sep, inner = "[" + nl + "  ", "," + nl + "  "
+        for item in obj:
+            write(sep + item)
+            sep = inner
+        write(nl + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -216,17 +246,63 @@ def quiver_dot(q: QuiverPresentation) -> str:
     return _dot("endomorphism_quiver", nodes, arrows)
 
 
-def ar_quiver_json(q: ArQuiver) -> dict:
-    t, dimvecs = q.triangulation, q.dimvecs or [None] * len(q.vertices)
+def vanishing_paths_json(report: VanishingReport, nl: str = "\n") -> Encoded:
+    """``[{"path": e.path_string(names), "zero": e.is_zero}]`` over the
+    entries of ``report``, at the place whose newline and indent is ``nl``.
+
+    The entries come breadth-first, each an entry of the level before (or
+    an arrow) extended by one arrow.  JSON escapes a string character by
+    character, so each name is escaped once, and each path's escaped
+    text is its prefix's text and one more name."""
+    names, arrows = [_quote(s)[1:-1] for s in report.names], report.quiver.arrows
+    steps = [" -> " + s for s in names]
+    item, field = nl + "  ", nl + "    "
+    head = "{" + field + '"path": "'
+    tails = tuple(f'",{field}"zero": {zero}{item}}}' for zero in ("false", "true"))
+    # (path, text) over the level before, then over this level
+    before, level, k = [(((i, j),), names[i] + steps[j]) for i, j, _ in arrows], [], 0
+    items = Encoded()
+    for e in report.entries:
+        path = e.arrows
+        prefix = path[:-1]
+        if len(prefix) != len(before[0][0]):
+            before, level, k = level, [], 0
+        while before[k][0] != prefix:
+            k += 1
+        text = before[k][1] + steps[path[-1][1]]
+        level.append((path, text))
+        items.append(f"{head}{text}{tails[e.is_zero]}")
+    return items
+
+
+def ar_quiver_json(q: ArQuiver, nl: str = "\n") -> dict:
+    """The ar-quiver object, with its three lists :class:`Encoded` for
+    the place whose newline and indent is ``nl``."""
+    t = q.triangulation
+    fields = nl + "  "
+    item, item_field, coord = fields + "  ", fields + "    ", fields + "      "
+    quoted = {v: _quote(str(v)) for v in q.vertices}  # every arrow and tau pair joins vertices
+    head = f'{{{item_field}"edge": '
+    if q.dimvecs is None:
+        tail = f',{item_field}"dimvec": null{item}}}'
+        vertices = Encoded([f"{head}{quoted[v]}{tail}" for v in q.vertices])
+    else:
+        sep, tail = "," + coord, f"{item_field}]{item}}}"
+        dimvec = f',{item_field}"dimvec": [{coord}'
+        vertices = Encoded([
+            f"{head}{quoted[v]}{dimvec}{sep.join(map(int.__repr__, dv.coords))}{tail}"
+            for v, dv in zip(q.vertices, q.dimvecs)
+        ])
+    arrows, tau = (
+        Encoded([f"[{item_field}{quoted[a]},{item_field}{quoted[b]}{item}]" for a, b in ps])
+        for ps in (q.arrows, q.tau_pairs)
+    )
     return {
         "n": q.n,
         "T": None if t is None else [str(e) for e in t.edges],
-        "vertices": [
-            {"edge": str(v), "dimvec": None if dv is None else list(dv.coords)}
-            for v, dv in zip(q.vertices, dimvecs)
-        ],
-        "arrows": [[str(a), str(b)] for a, b in q.arrows],
-        "tau": [[str(a), str(b)] for a, b in q.tau_pairs],
+        "vertices": vertices,
+        "arrows": arrows,
+        "tau": tau,
     }
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .crossing import _compat_mask, _turn, crossing_number
+from .crossing import _compat_mask, crossing_number
 from .geometry import _EDGES, TaggedEdge, _require_polygon, edge_index
 from .geometry import edge_of_index, enumerate_tagged_edges
 from .record import Record
@@ -223,11 +223,14 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
         # the g with g(0|+) lowest: no radius of B turned past vertex n - 1,
         # and no swap (sigma) when 0|- in B would land below the image of 0|+
         swapped = 0 if (radii >> plain) & 2 else ((radii & plus) << 1) | ((radii >> 1) & plus)
+        # rho^k turns the plain block up by k(n - 2) bits: the block's bits
+        # are those of the doubled block from bit plain - k(n - 2) up
+        doubled = rest | rest << plain
         for k in range(n - ((radii.bit_length() - plain - 1) >> 1)):
-            emit(rest | radii << 2 * k)
+            turned = doubled >> (plain - k * step) & plain_bits
+            emit(turned | radii << 2 * k)
             if swapped:
-                emit(rest | swapped << 2 * k)
-            rest = _turn(rest, plain, step)  # rho on the plain block
+                emit(turned | swapped << 2 * k)
     out.sort()
     return out
 
