@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import json
 import os
 import sys
 
@@ -155,8 +156,6 @@ def cmd_hom(args) -> int:
 
 
 def cmd_ext(args) -> int:
-    import json  # only ext prints compact JSON; the rest goes through render.write_json
-
     src = TaggedEdge.parse(args.n, args.source)
     tgt = TaggedEdge.parse(args.n, args.target)
     val = ext1_dim(src, tgt, method=args.method)

@@ -9,7 +9,8 @@ shape instead, one template per item, into an :class:`Encoded` list of
 item texts that ``_write`` writes as they are: the ``vanishing_paths`` of
 ``report`` (:func:`vanishing_paths_json`) and the ``vertices``,
 ``arrows`` and ``tau`` of an ar-quiver object (:func:`ar_quiver_json`).
-Each is encoded for the indent of its place.  The items are written one
+Each list carries the indent it was encoded for, and ``_write``
+refuses it at any other place.  The items are written one
 at a time, not joined, so no list's whole text is held twice.
 ``crossings`` writes its matrix one row at a time with
 :func:`write_crossing_json`; the text table streams the same way through
@@ -38,10 +39,7 @@ format has one writer, whether or not the quiver has a T.
 
 from __future__ import annotations
 
-try:  # the C encoder itself, without importing the json package
-    from _json import encode_basestring_ascii as _quote
-except ImportError:
-    from json.encoder import encode_basestring_ascii as _quote
+from json.encoder import encode_basestring_ascii as _quote
 
 from .geometry import TaggedEdge, enumerate_tagged_edges, pos, pos_inv
 from .mesh import MorphismSpace, RowTargets, hom_dim_closed_form, hom_row_closed_form
@@ -55,16 +53,22 @@ def write_json(obj, write) -> None:
     Only the CLI's shapes are accepted: dicts with str keys, lists and
     tuples, str, int, bool and None, and :class:`Encoded` lists, whose
     items are written as they are.  Anything else, floats and
-    ``Fraction`` included, raises ``TypeError``.
+    ``Fraction`` included, raises ``TypeError``; an ``Encoded`` list
+    placed at another indent than its own raises ``ValueError``.
     """
     _write(obj, write, "\n")
 
 
 class Encoded(list):
-    """A JSON list whose items are JSON text, each encoded for the indent
-    of its place, which ``_write`` writes as they are, one at a time."""
+    """A JSON list whose items are JSON text, each encoded for the place
+    whose newline and indent is ``nl``; only :func:`write_json` reads them
+    as JSON, one at a time."""
 
-    __slots__ = ()
+    __slots__ = ("nl",)
+
+    def __init__(self, items, nl: str):
+        super().__init__(items)
+        self.nl = nl
 
 
 def _write(obj, write, nl: str) -> None:
@@ -108,6 +112,8 @@ def _write(obj, write, nl: str) -> None:
                 sep = "," + inner
             write(nl + "]")
     elif kind is Encoded:
+        if obj.nl != nl:
+            raise ValueError(f"list encoded for indent {obj.nl!r} placed at {nl!r}")
         if not obj:
             write("[]")
             return
@@ -246,14 +252,17 @@ def quiver_dot(q: QuiverPresentation) -> str:
     return _dot("endomorphism_quiver", nodes, arrows)
 
 
-def vanishing_paths_json(report: VanishingReport, nl: str = "\n") -> Encoded:
+def vanishing_paths_json(report: VanishingReport, nl: str) -> Encoded:
     """``[{"path": e.path_string(names), "zero": e.is_zero}]`` over the
     entries of ``report``, at the place whose newline and indent is ``nl``.
 
-    The entries come breadth-first, each an entry of the level before (or
-    an arrow) extended by one arrow.  JSON escapes a string character by
-    character, so each name is escaped once, and each path's escaped
-    text is its prefix's text and one more name."""
+    :func:`tilted.vanishing_paths_report` lists the entries level by
+    level, each level in the order of the prefixes it extends, so a
+    cursor over the level before finds each prefix; an entry out of that
+    order runs the cursor off its level and raises ``IndexError``.  JSON
+    escapes a string character by character, so each name is escaped
+    once, and each path's escaped text is its prefix's text and one more
+    name."""
     names, arrows = [_quote(s)[1:-1] for s in report.names], report.quiver.arrows
     steps = [" -> " + s for s in names]
     item, field = nl + "  ", nl + "    "
@@ -261,7 +270,7 @@ def vanishing_paths_json(report: VanishingReport, nl: str = "\n") -> Encoded:
     tails = tuple(f'",{field}"zero": {zero}{item}}}' for zero in ("false", "true"))
     # (path, text) over the level before, then over this level
     before, level, k = [(((i, j),), names[i] + steps[j]) for i, j, _ in arrows], [], 0
-    items = Encoded()
+    items = Encoded((), nl)
     for e in report.entries:
         path = e.arrows
         prefix = path[:-1]
@@ -276,8 +285,9 @@ def vanishing_paths_json(report: VanishingReport, nl: str = "\n") -> Encoded:
 
 
 def ar_quiver_json(q: ArQuiver, nl: str = "\n") -> dict:
-    """The ar-quiver object, with its three lists :class:`Encoded` for
-    the place whose newline and indent is ``nl``."""
+    """The ar-quiver object for the place whose newline and indent is
+    ``nl``.  Its ``vertices``, ``arrows`` and ``tau`` are :class:`Encoded`
+    lists of JSON text, to be written by :func:`write_json` only."""
     t = q.triangulation
     fields = nl + "  "
     item, item_field, coord = fields + "  ", fields + "    ", fields + "      "
@@ -285,24 +295,24 @@ def ar_quiver_json(q: ArQuiver, nl: str = "\n") -> dict:
     head = f'{{{item_field}"edge": '
     if q.dimvecs is None:
         tail = f',{item_field}"dimvec": null{item}}}'
-        vertices = Encoded([f"{head}{quoted[v]}{tail}" for v in q.vertices])
+        vertices = [f"{head}{quoted[v]}{tail}" for v in q.vertices]
     else:
         sep, tail = "," + coord, f"{item_field}]{item}}}"
         dimvec = f',{item_field}"dimvec": [{coord}'
-        vertices = Encoded([
+        vertices = [
             f"{head}{quoted[v]}{dimvec}{sep.join(map(int.__repr__, dv.coords))}{tail}"
             for v, dv in zip(q.vertices, q.dimvecs)
-        ])
+        ]
     arrows, tau = (
-        Encoded([f"[{item_field}{quoted[a]},{item_field}{quoted[b]}{item}]" for a, b in ps])
+        [f"[{item_field}{quoted[a]},{item_field}{quoted[b]}{item}]" for a, b in ps]
         for ps in (q.arrows, q.tau_pairs)
     )
     return {
         "n": q.n,
         "T": None if t is None else [str(e) for e in t.edges],
-        "vertices": vertices,
-        "arrows": arrows,
-        "tau": tau,
+        "vertices": Encoded(vertices, fields),
+        "arrows": Encoded(arrows, fields),
+        "tau": Encoded(tau, fields),
     }
 
 

@@ -255,9 +255,22 @@ def test_ar_quiver_json_is_the_list_of_dicts_dump(capsys, n):
 def test_every_path_string_is_built_from_its_prefix():
     for t in REPORT_CASES:
         report = paths_report(t)
-        paths = [json.loads(item)["path"] for item in vanishing_paths_json(report)]
+        paths = [json.loads(item)["path"] for item in vanishing_paths_json(report, "\n")]
         assert paths == [e.path_string(report.names) for e in report.entries]
 
+
+
+def test_a_prefix_out_of_order_is_refused():
+    """The prefix cursor finds each prefix or raises: two entries of one
+    level with different prefixes, swapped, or the levels reversed."""
+    report = paths_report(WALKS[-1])
+    entries = list(report.entries)
+    i = next(i for i, (a, b) in enumerate(zip(entries, entries[1:]))
+             if len(a.arrows) == len(b.arrows) and a.arrows[:-1] != b.arrows[:-1])
+    swapped = entries[:i] + [entries[i + 1], entries[i]] + entries[i + 2:]
+    for bad in (swapped, entries[::-1]):
+        with pytest.raises(IndexError):
+            vanishing_paths_json(VanishingReport(report.quiver, report.maxlen, tuple(bad)), "\n")
 
 def random_report(rng) -> VanishingReport:
     """Every path of length 2..4 of a random quiver whose vertex names
@@ -286,7 +299,20 @@ def test_vanishing_paths_json_escapes_names_once(seed):
 
 
 def test_encoded_items_are_written_as_they_are():
-    assert written(Encoded()) == "[]"
-    assert written(Encoded(["x", "[\n    y\n  ]"])) == "[\n  x,\n  [\n    y\n  ]\n]"
+    assert written(Encoded((), "\n")) == "[]"
+    assert written(Encoded(["x", "[\n    y\n  ]"], "\n")) == "[\n  x,\n  [\n    y\n  ]\n]"
     nested_once = '{\n  "a": [\n    [\n      x\n    ],\n    1\n  ]\n}'
-    assert written({"a": [Encoded(["x"]), 1]}) == nested_once
+    assert written({"a": [Encoded(["x"], "\n    "), 1]}) == nested_once
+
+
+@pytest.mark.parametrize("obj", [
+    Encoded(["x"], "\n  "),
+    Encoded((), "\n  "),
+    {"k": Encoded(["x"], "\n")},
+    {"k": ar_quiver_json(ar_quiver_of_category(3))},
+    ar_quiver_json(ar_quiver_of_category(3), "\n  "),
+    [vanishing_paths_json(vanishing_paths_report(fan_triangulation(5), 5), "\n")],
+])
+def test_an_encoded_list_at_another_indent_is_refused(obj):
+    with pytest.raises(ValueError, match="list encoded for indent"):
+        written(obj)
