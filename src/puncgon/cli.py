@@ -263,9 +263,9 @@ def cmd_report(args) -> int:
             "n": args.n,
             "T": [str(e) for e in t.edges],
             "quiver": render.quiver_json(shown, t),
-            "vanishing_paths": render.vanishing_paths_json(vanishing, "\n  "),
+            "vanishing_paths": vanishing,
             "boundary_note": "factors on boundary segments contribute 1",
-            "modules": render.ar_quiver_json(tilted, "\n  "),
+            "modules": tilted,
         })
         return 0
     print(f"triangulation T = {t}")
@@ -298,7 +298,7 @@ def cmd_ar_quiver(args) -> int:
     if args.format == "dot":
         print(render.ar_quiver_dot(q))
     elif args.format == "json":
-        _print_json(render.ar_quiver_json(q))
+        _print_json(q)
     elif t is None:
         print(f"{len(q.vertices)} vertices, {len(q.arrows)} arrows")
         for a, b in q.arrows:

@@ -4,14 +4,12 @@
 ``--format json`` goes through :func:`write_json`, which writes the bytes
 of ``json.dumps(obj, indent=2)`` piece by piece (with ``indent`` set,
 ``json`` falls back to its pure-Python encoder).  Its ``_write`` is the
-general path, one value at a time.  The hottest lists are written by
-shape instead, one template per item, into an :class:`Encoded` list of
-item texts that ``_write`` writes as they are: the ``vanishing_paths`` of
-``report`` (:func:`vanishing_paths_json`) and the ``vertices``,
-``arrows`` and ``tau`` of an ar-quiver object (:func:`ar_quiver_json`).
-Each list carries the indent it was encoded for, and ``_write``
-refuses it at any other place.  The items are written one
-at a time, not joined, so no list's whole text is held twice.
+one general path, one value at a time.  Two records are written by
+shape instead, one template per item, at the indent of the place where
+``_write`` meets them: a :class:`tilted.ArQuiver` as its ar-quiver object
+and a :class:`tilted.VanishingReport` as the ``vanishing_paths`` list of
+``report``.  Each item is written as it is made, so no list of item
+texts is held.
 ``crossings`` writes its matrix one row at a time with
 :func:`write_crossing_json`; the text table streams the same way through
 :func:`write_crossing_text`.  Both crossing writers join each row from
@@ -51,24 +49,13 @@ def write_json(obj, write) -> None:
     """Write ``json.dumps(obj, indent=2)`` through ``write``, in pieces.
 
     Only the CLI's shapes are accepted: dicts with str keys, lists and
-    tuples, str, int, bool and None, and :class:`Encoded` lists, whose
-    items are written as they are.  Anything else, floats and
-    ``Fraction`` included, raises ``TypeError``; an ``Encoded`` list
-    placed at another indent than its own raises ``ValueError``.
+    tuples, str, int, bool and None, and at any depth an
+    :class:`ArQuiver`, written as its ar-quiver object, and a
+    :class:`VanishingReport`, written as its ``vanishing_paths`` list
+    (the JSON schemas above).  Anything else, floats and ``Fraction``
+    included, raises ``TypeError``.
     """
     _write(obj, write, "\n")
-
-
-class Encoded(list):
-    """A JSON list whose items are JSON text, each encoded for the place
-    whose newline and indent is ``nl``; only :func:`write_json` reads them
-    as JSON, one at a time."""
-
-    __slots__ = ("nl",)
-
-    def __init__(self, items, nl: str):
-        super().__init__(items)
-        self.nl = nl
 
 
 def _write(obj, write, nl: str) -> None:
@@ -111,19 +98,23 @@ def _write(obj, write, nl: str) -> None:
                 _write(value, write, inner)
                 sep = "," + inner
             write(nl + "]")
-    elif kind is Encoded:
-        if obj.nl != nl:
-            raise ValueError(f"list encoded for indent {obj.nl!r} placed at {nl!r}")
-        if not obj:
-            write("[]")
-            return
-        sep, inner = "[" + nl + "  ", "," + nl + "  "
-        for item in obj:
-            write(sep + item)
-            sep = inner
-        write(nl + "]")
+    elif kind is ArQuiver:
+        _write_ar_quiver(obj, write, nl)
+    elif kind is VanishingReport:
+        _write_items(_path_items(obj, nl + "  "), write, nl)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _write_items(items, write, nl: str) -> None:
+    """Write the list of the JSON texts ``items``, each encoded for the
+    indent ``nl + "  "``, one ``write`` per item."""
+    sep = first = "[" + nl + "  "
+    rest = "," + nl + "  "
+    for item in items:
+        write(sep + item)
+        sep = rest
+    write("[]" if sep is first else nl + "]")
 
 
 # Crossing numbers lie in {0, 1, 2}; the crossing writers look each
@@ -252,9 +243,9 @@ def quiver_dot(q: QuiverPresentation) -> str:
     return _dot("endomorphism_quiver", nodes, arrows)
 
 
-def vanishing_paths_json(report: VanishingReport, nl: str) -> Encoded:
-    """``[{"path": e.path_string(names), "zero": e.is_zero}]`` over the
-    entries of ``report``, at the place whose newline and indent is ``nl``.
+def _path_items(report: VanishingReport, nl: str):
+    """The text of ``{"path": e.path_string(names), "zero": e.is_zero}``
+    for each entry of ``report``, at the indent ``nl``.
 
     :func:`tilted.vanishing_paths_report` lists the entries level by
     level, each level in the order of the prefixes it extends, so a
@@ -263,14 +254,14 @@ def vanishing_paths_json(report: VanishingReport, nl: str) -> Encoded:
     escapes a string character by character, so each name is escaped
     once, and each path's escaped text is its prefix's text and one more
     name."""
-    names, arrows = [_quote(s)[1:-1] for s in report.names], report.quiver.arrows
+    names = [_quote(s)[1:-1] for s in report.names]
     steps = [" -> " + s for s in names]
-    item, field = nl + "  ", nl + "    "
+    field = nl + "  "
     head = "{" + field + '"path": "'
-    tails = tuple(f'",{field}"zero": {zero}{item}}}' for zero in ("false", "true"))
+    tails = tuple(f'",{field}"zero": {zero}{nl}}}' for zero in ("false", "true"))
     # (path, text) over the level before, then over this level
-    before, level, k = [(((i, j),), names[i] + steps[j]) for i, j, _ in arrows], [], 0
-    items = Encoded((), nl)
+    before = [(((i, j),), names[i] + steps[j]) for i, j, _ in report.quiver.arrows]
+    level, k = [], 0
     for e in report.entries:
         path = e.arrows
         prefix = path[:-1]
@@ -280,14 +271,12 @@ def vanishing_paths_json(report: VanishingReport, nl: str) -> Encoded:
             k += 1
         text = before[k][1] + steps[path[-1][1]]
         level.append((path, text))
-        items.append(f"{head}{text}{tails[e.is_zero]}")
-    return items
+        yield f"{head}{text}{tails[e.is_zero]}"
 
 
-def ar_quiver_json(q: ArQuiver, nl: str = "\n") -> dict:
-    """The ar-quiver object for the place whose newline and indent is
-    ``nl``.  Its ``vertices``, ``arrows`` and ``tau`` are :class:`Encoded`
-    lists of JSON text, to be written by :func:`write_json` only."""
+def _write_ar_quiver(q: ArQuiver, write, nl: str) -> None:
+    """Write the ar-quiver object of ``q``, its ``vertices``, ``arrows``
+    and ``tau`` from one template per item."""
     t = q.triangulation
     fields = nl + "  "
     item, item_field, coord = fields + "  ", fields + "    ", fields + "      "
@@ -295,25 +284,24 @@ def ar_quiver_json(q: ArQuiver, nl: str = "\n") -> dict:
     head = f'{{{item_field}"edge": '
     if q.dimvecs is None:
         tail = f',{item_field}"dimvec": null{item}}}'
-        vertices = [f"{head}{quoted[v]}{tail}" for v in q.vertices]
+        vertices = (f"{head}{quoted[v]}{tail}" for v in q.vertices)
     else:
         sep, tail = "," + coord, f"{item_field}]{item}}}"
         dimvec = f',{item_field}"dimvec": [{coord}'
-        vertices = [
+        vertices = (
             f"{head}{quoted[v]}{dimvec}{sep.join(map(int.__repr__, dv.coords))}{tail}"
             for v, dv in zip(q.vertices, q.dimvecs)
-        ]
+        )
     arrows, tau = (
-        [f"[{item_field}{quoted[a]},{item_field}{quoted[b]}{item}]" for a, b in ps]
-        for ps in (q.arrows, q.tau_pairs)
+        (f"[{item_field}{quoted[a]},{item_field}{quoted[b]}{item}]" for a, b in pairs)
+        for pairs in (q.arrows, q.tau_pairs)
     )
-    return {
-        "n": q.n,
-        "T": None if t is None else [str(e) for e in t.edges],
-        "vertices": Encoded(vertices, fields),
-        "arrows": Encoded(arrows, fields),
-        "tau": Encoded(tau, fields),
-    }
+    write(f'{{{fields}"n": {q.n},{fields}"T": ')
+    _write(None if t is None else [str(e) for e in t.edges], write, fields)
+    for key, items in (("vertices", vertices), ("arrows", arrows), ("tau", tau)):
+        write(f',{fields}"{key}": ')
+        _write_items(items, write, fields)
+    write(nl + "}")
 
 
 def ar_quiver_dot(q: ArQuiver) -> str:

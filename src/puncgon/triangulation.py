@@ -190,9 +190,9 @@ def fan_triangulation(n: int, base: int = 0) -> Triangulation:
 def maximal_noncrossing_sets(n: int) -> list[int]:
     """Every maximal pairwise non-crossing set, of whatever size, as the
     int bitset of its members (bit i for the edge at canonical index i,
-    as in ``Triangulation._members``), in
-    ascending order of those ints.  :func:`_indices` decodes a set into
-    the increasing tuple of its indices.
+    as in ``Triangulation._members``), in the order the search finds
+    them; no caller reads that order.  :func:`_indices` decodes a set
+    into the increasing tuple of its indices.
 
     Turning the polygon one vertex counterclockwise (rho) and swapping the
     two tags of every radius pair (sigma) keep crossing numbers, so they
@@ -217,8 +217,7 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
 
     out: list[int] = []
     emit = out.append
-    # ascending bases leave ascending runs in out, which its final sort merges
-    for base in sorted(_maximal_cliques(nbrs, 1 << plain, nbrs[plain])):
+    for base in _maximal_cliques(nbrs, 1 << plain, nbrs[plain]):
         rest, radii = base & plain_bits, base & ~plain_bits
         # the g with g(0|+) lowest: no radius of B turned past vertex n - 1,
         # and no swap (sigma) when 0|- in B would land below the image of 0|+
@@ -231,7 +230,6 @@ def maximal_noncrossing_sets(n: int) -> list[int]:
             emit(turned | radii << 2 * k)
             if swapped:
                 emit(turned | swapped << 2 * k)
-    out.sort()
     return out
 
 

@@ -1,8 +1,10 @@
 """``render.write_json`` writes the bytes of ``json.dumps(obj, indent=2)``,
-and so do the lists written by shape, against the list-of-dicts builders
-they replace; the crossing writers accept only crossing numbers."""
+and so do the records it writes by shape, at any depth, against the
+list-of-dicts builders they replace; the crossing writers accept only
+crossing numbers, and no public render function returns encoded text."""
 
 import functools
+import inspect
 import json
 import pathlib
 import random
@@ -10,16 +12,12 @@ from fractions import Fraction
 
 import pytest
 
+from puncgon import render
 from puncgon.cli import main
-from puncgon.geometry import enumerate_tagged_edges
-from puncgon.render import (
-    Encoded,
-    ar_quiver_json,
-    vanishing_paths_json,
-    write_crossing_json,
-    write_crossing_text,
-    write_json,
-)
+from puncgon.crossing import crossing_table
+from puncgon.geometry import TaggedEdge, enumerate_tagged_edges
+from puncgon.mesh import morphism_space
+from puncgon.render import write_crossing_json, write_crossing_text, write_json
 from puncgon.tilted import (
     VanishingEntry,
     VanishingReport,
@@ -32,6 +30,7 @@ from puncgon.triangulation import (
     enumerate_triangulations,
     fan_triangulation,
     flip,
+    quiver_of_triangulation,
 )
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -138,8 +137,41 @@ def test_crossing_writers_refuse_a_value_outside_0_1_2(bad):
         write_crossing_text(edges, iter(rows), [].append)
 
 
+def test_public_render_functions_return_text_none_or_plain_data():
+    """The tracer sizes what each public render function returns with
+    ``json.dumps``, so none may return encoded text in a list: each
+    returns a str, None, or data that ``write_json`` and ``json.dumps``
+    write alike.  Every public function is called."""
+    t = fan_triangulation(5, 0)
+    edges = enumerate_tagged_edges(5)
+    quiver, space = quiver_of_triangulation(t), morphism_space(edges[0], edges[7])
+    calls = {
+        "write_json": lambda: write_json({"n": 5}, [].append),
+        "write_crossing_json": lambda: write_crossing_json(5, edges, crossing_table(5), [].append),
+        "write_crossing_text": lambda: write_crossing_text(edges, crossing_table(5), [].append),
+        "edges_json": lambda: render.edges_json(5),
+        "edges_text": lambda: render.edges_text(5),
+        "hom_json": lambda: render.hom_json(space),
+        "hom_text": lambda: render.hom_text(space, show_basis=True),
+        "hom_grid_text": lambda: render.hom_grid_text(5, TaggedEdge.parse(5, "0-2")),
+        "quiver_json": lambda: render.quiver_json(quiver, t),
+        "quiver_text": lambda: render.quiver_text(quiver),
+        "quiver_dot": lambda: render.quiver_dot(quiver),
+        "ar_quiver_dot": lambda: render.ar_quiver_dot(ar_quiver_of_tilted(t)),
+        "dimvec_table_text": lambda: render.dimvec_table_text(ar_quiver_of_tilted(t), quiver),
+    }
+    public = {name for name, fn in vars(render).items()
+              if inspect.isfunction(fn) and fn.__module__ == render.__name__
+              and not name.startswith("_")}
+    assert public == set(calls)
+    for name, call in calls.items():
+        result = call()
+        if result is not None and type(result) is not str:
+            assert written(result) == json.dumps(result, indent=2), name
+
+
 # ---------------------------------------------------------------------------
-# the lists written by shape, against the list-of-dicts builders they replace
+# the records written by shape, against the list-of-dicts builders they replace
 
 
 def oracle_vanishing_paths(report):
@@ -237,27 +269,28 @@ def test_report_json_is_the_list_of_dicts_dump(capsys, n):
 
 @pytest.mark.parametrize("n", [3, 4, 7, 10])
 def test_ar_quiver_json_is_the_list_of_dicts_dump(capsys, n):
-    """With and without T, at the top level through the CLI and nested
-    at depths 1 to 3 through ``write_json``."""
+    """With and without T, and transposed, at the top level through the
+    CLI and at depths 0 to 3 through ``write_json``."""
     t = next((t for t in WALKS if t.n == n), fan_triangulation(n, n - 1))
     edges = ",".join(map(str, t.edges))
     for q, extra in ((ar_quiver_of_category(n), ()), (ar_quiver_of_tilted(t), ("--T", edges))):
-        oracle = oracle_ar_quiver(q)
         argv = ["ar-quiver", "--n", str(n), "--format", "json", *extra]
-        assert printed(capsys, *argv) == json.dumps(oracle, indent=2) + "\n"
-        transposed = oracle_ar_quiver(q.transposed())
-        assert printed(capsys, *argv, "--no-op") == json.dumps(transposed, indent=2) + "\n"
-        for depth in (0, 1, 2, 3):
-            obj = nested(ar_quiver_json(q, "\n" + "  " * depth), depth)
-            assert written(obj) == json.dumps(nested(oracle, depth), indent=2)
+        assert printed(capsys, *argv) == json.dumps(oracle_ar_quiver(q), indent=2) + "\n"
+        transposed = json.dumps(oracle_ar_quiver(q.transposed()), indent=2)
+        assert printed(capsys, *argv, "--no-op") == transposed + "\n"
+        for shown in (q, q.transposed()):
+            for depth in (0, 1, 2, 3):
+                oracle = nested(oracle_ar_quiver(shown), depth)
+                assert written(nested(shown, depth)) == json.dumps(oracle, indent=2)
 
 
 def test_every_path_string_is_built_from_its_prefix():
+    """Every report case, at depths 0 to 3."""
     for t in REPORT_CASES:
         report = paths_report(t)
-        paths = [json.loads(item)["path"] for item in vanishing_paths_json(report, "\n")]
-        assert paths == [e.path_string(report.names) for e in report.entries]
-
+        for depth in (0, 1, 2, 3):
+            oracle = nested(oracle_vanishing_paths(report), depth)
+            assert written(nested(report, depth)) == json.dumps(oracle, indent=2), (t, depth)
 
 
 def test_a_prefix_out_of_order_is_refused():
@@ -269,8 +302,10 @@ def test_a_prefix_out_of_order_is_refused():
              if len(a.arrows) == len(b.arrows) and a.arrows[:-1] != b.arrows[:-1])
     swapped = entries[:i] + [entries[i + 1], entries[i]] + entries[i + 2:]
     for bad in (swapped, entries[::-1]):
-        with pytest.raises(IndexError):
-            vanishing_paths_json(VanishingReport(report.quiver, report.maxlen, tuple(bad)), "\n")
+        for depth in (0, 1, 2, 3):
+            with pytest.raises(IndexError):
+                written(nested(VanishingReport(report.quiver, report.maxlen, tuple(bad)), depth))
+
 
 def random_report(rng) -> VanishingReport:
     """Every path of length 2..4 of a random quiver whose vertex names
@@ -288,31 +323,11 @@ def random_report(rng) -> VanishingReport:
 
 @pytest.mark.parametrize("seed", range(20))
 def test_vanishing_paths_json_escapes_names_once(seed):
-    """Escaped and non-ASCII names, at depths 0 to 2."""
+    """Escaped and non-ASCII names, at depths 0 to 3."""
     rng = random.Random(f"vanishing:{seed}")
     for _ in range(10):
         report = random_report(rng)
-        for depth in (0, 1, 2):
-            obj = nested(vanishing_paths_json(report, "\n" + "  " * depth), depth)
-            assert written(obj) == json.dumps(nested(oracle_vanishing_paths(report), depth),
-                                              indent=2)
+        for depth in (0, 1, 2, 3):
+            oracle = nested(oracle_vanishing_paths(report), depth)
+            assert written(nested(report, depth)) == json.dumps(oracle, indent=2)
 
-
-def test_encoded_items_are_written_as_they_are():
-    assert written(Encoded((), "\n")) == "[]"
-    assert written(Encoded(["x", "[\n    y\n  ]"], "\n")) == "[\n  x,\n  [\n    y\n  ]\n]"
-    nested_once = '{\n  "a": [\n    [\n      x\n    ],\n    1\n  ]\n}'
-    assert written({"a": [Encoded(["x"], "\n    "), 1]}) == nested_once
-
-
-@pytest.mark.parametrize("obj", [
-    Encoded(["x"], "\n  "),
-    Encoded((), "\n  "),
-    {"k": Encoded(["x"], "\n")},
-    {"k": ar_quiver_json(ar_quiver_of_category(3))},
-    ar_quiver_json(ar_quiver_of_category(3), "\n  "),
-    [vanishing_paths_json(vanishing_paths_report(fan_triangulation(5), 5), "\n")],
-])
-def test_an_encoded_list_at_another_indent_is_refused(obj):
-    with pytest.raises(ValueError, match="list encoded for indent"):
-        written(obj)
